@@ -6,11 +6,12 @@
  * the memory hierarchy; with std::function each hand-off whose
  * captures exceed the 16-byte libstdc++ SBO costs a heap allocation,
  * and the malloc/free pair shows up directly in the simulator's host
- * profile. InplaceFn stores callables up to Cap bytes inline (the
- * hot continuations capture `this` + address + a nested continuation
- * and fit comfortably), boxing only oversized ones. Move-only on
- * purpose: continuations are consumed exactly once, and copyability
- * is what forces std::function to reject move-only captures.
+ * profile. InplaceFn stores callables up to Cap bytes inline, boxing
+ * only oversized ones; storesInline<F> lets a hot call site
+ * static_assert that its closure never takes the boxed path. Move-only
+ * on purpose: continuations are consumed exactly once, and
+ * copyability is what forces std::function to reject move-only
+ * captures.
  */
 
 #ifndef PMEMSPEC_COMMON_INPLACE_FN_HH
@@ -32,6 +33,12 @@ template <typename R, typename... Args, std::size_t Cap>
 class InplaceFn<R(Args...), Cap>
 {
   public:
+    /** True when a callable of type F is stored inline (never boxed). */
+    template <typename F>
+    static constexpr bool storesInline =
+        sizeof(F) <= Cap && alignof(F) <= alignof(std::max_align_t) &&
+        std::is_nothrow_move_constructible_v<F>;
+
     InplaceFn() = default;
     InplaceFn(std::nullptr_t) {}
 
@@ -42,9 +49,7 @@ class InplaceFn<R(Args...), Cap>
     InplaceFn(F &&f)
     {
         using Fn = std::decay_t<F>;
-        if constexpr (sizeof(Fn) <= Cap &&
-                      alignof(Fn) <= alignof(std::max_align_t) &&
-                      std::is_nothrow_move_constructible_v<Fn>) {
+        if constexpr (storesInline<Fn>) {
             ::new (buf) Fn(std::forward<F>(f));
             ops = &inlineOps<Fn>;
         } else {

@@ -67,7 +67,7 @@ Core::pauseUntil(Tick t)
     }
 }
 
-std::function<void()>
+auto
 Core::guardedWake()
 {
     const std::uint64_t gen = generation;
@@ -162,9 +162,12 @@ Core::execute(const TraceInstr &instr)
         ++pc;
         ++outstandingLoads;
         const std::uint64_t gen = generation;
-        memsys.load(id, instr.addr, [this, dependent, gen] {
+        auto on_load = [this, dependent, gen] {
             onLoadDone(dependent, gen);
-        });
+        };
+        static_assert(
+            mem::MemorySystem::Done::storesInline<decltype(on_load)>);
+        memsys.load(id, instr.addr, std::move(on_load));
         if (dependent) {
             state = State::Waiting;
             return false;
@@ -274,7 +277,7 @@ Core::execute(const TraceInstr &instr)
         state = State::Waiting;
         waitingLockId = lock_id;
         const std::uint64_t gen = generation;
-        locks.acquire(lock_id, id, [this, lock_id, gen] {
+        auto on_granted = [this, lock_id, gen] {
             if (gen != generation) {
                 // Granted after this FASE aborted: give it back.
                 locks.release(lock_id, id);
@@ -287,7 +290,9 @@ Core::execute(const TraceInstr &instr)
                 state = State::Running;
                 requestAdvance();
             }
-        });
+        };
+        static_assert(LockTable::Granted::storesInline<decltype(on_granted)>);
+        locks.acquire(lock_id, id, std::move(on_granted));
         return false;
       }
 
@@ -434,7 +439,7 @@ Core::pumpSq()
         // CLWB retires from the SQ once issued; the flush proceeds
         // asynchronously and a later SFENCE waits for its ack.
         ++clwbOutstanding;
-        memsys.clwb(id, head.addr, [this] {
+        auto on_flushed = [this] {
             panic_if(clwbOutstanding == 0, "clwb ack underflow");
             --clwbOutstanding;
             if (state == State::Aborting) {
@@ -446,11 +451,16 @@ Core::pumpSq()
                 waitingFinish = false;
                 requestAdvance();
             }
-        });
+        };
+        static_assert(
+            mem::MemorySystem::Done::storesInline<decltype(on_flushed)>);
+        memsys.clwb(id, head.addr, std::move(on_flushed));
         schedule(After{clock.period()}, [this] { onSqHeadDone(); });
     } else {
-        memsys.store(id, head.addr, head.specId,
-                     [this] { onSqHeadDone(); });
+        auto on_drained = [this] { onSqHeadDone(); };
+        static_assert(
+            mem::MemorySystem::Done::storesInline<decltype(on_drained)>);
+        memsys.store(id, head.addr, head.specId, std::move(on_drained));
     }
 }
 
@@ -485,22 +495,18 @@ Core::onSqHeadDone()
 void
 Core::wakeDrainWaiters()
 {
-    if (drained() && !drainWaiters.empty()) {
-        auto w = std::move(drainWaiters);
-        drainWaiters.clear();
-        for (auto &cb : w)
-            cb();
-    }
+    if (drained())
+        drainWaiters.runAll();
 }
 
 void
-Core::waitDrained(InplaceFn<void()> then)
+Core::waitDrained(DrainWaiter then)
 {
     if (drained()) {
         then();
         return;
     }
-    drainWaiters.push_back(std::move(then));
+    drainWaiters.push(std::move(then));
 }
 
 void

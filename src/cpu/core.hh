@@ -27,15 +27,16 @@
 #ifndef PMEMSPEC_CPU_CORE_HH
 #define PMEMSPEC_CPU_CORE_HH
 
-#include <deque>
 #include <functional>
 #include <optional>
 #include <set>
 
 #include "common/inplace_fn.hh"
+#include "common/ring_queue.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
 #include "common/types.hh"
+#include "common/waiter_list.hh"
 #include "cpu/lock_table.hh"
 #include "cpu/trace.hh"
 #include "mem/memory_system.hh"
@@ -128,10 +129,13 @@ class Core : public sim::SimObject
 
     struct SqEntry
     {
-        Addr addr;
+        Addr addr = 0;
         std::optional<SpecId> specId;
-        bool isClwb;
+        bool isClwb = false;
     };
+
+    /** Continuation parked until the SQ drains (SFENCE, barriers). */
+    using DrainWaiter = InplaceFn<void(), 16>;
 
     /** Schedule advance() at now (or resumeAt) if not already queued. */
     void requestAdvance();
@@ -152,7 +156,7 @@ class Core : public sim::SimObject
 
     /** Block until the SQ is empty and every issued CLWB has been
      *  acknowledged, then run `then`. */
-    void waitDrained(InplaceFn<void()> then);
+    void waitDrained(DrainWaiter then);
 
     bool drained() const { return sq.empty() && clwbOutstanding == 0; }
     /** No instruction in flight anywhere. */
@@ -170,7 +174,7 @@ class Core : public sim::SimObject
     void closeFase();
 
     /** A guarded wake: ignores callbacks from a pre-abort epoch. */
-    std::function<void()> guardedWake();
+    auto guardedWake();
 
     CoreId id;
     CoreConfig cfg;
@@ -187,7 +191,7 @@ class Core : public sim::SimObject
     Tick pausedUntil = 0;
     std::uint64_t issueDebtCycles = 0;
 
-    std::deque<SqEntry> sq;
+    RingQueue<SqEntry> sq;
     bool sqDraining = false;
     unsigned outstandingLoads = 0;
     /** CLWB flushes issued but not yet acknowledged by the PMC. */
@@ -200,7 +204,7 @@ class Core : public sim::SimObject
     bool waitingBarrier = false;
     /** Trace exhausted; waiting for in-flight work before done. */
     bool waitingFinish = false;
-    std::vector<InplaceFn<void()>> drainWaiters;
+    WaiterList<DrainWaiter> drainWaiters;
 
     std::optional<SpecId> specIdReg;
     std::function<SpecId()> specIdSource;

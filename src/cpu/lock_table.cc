@@ -18,7 +18,7 @@ LockTable::LockTable(sim::EventQueue &eq, StatGroup *parent,
 
 void
 LockTable::grant(unsigned lock_id, LockState &ls, CoreId core,
-                 std::function<void()> cb)
+                 Granted cb)
 {
     (void)lock_id;
     ls.locked = true;
@@ -28,8 +28,7 @@ LockTable::grant(unsigned lock_id, LockState &ls, CoreId core,
 }
 
 void
-LockTable::acquire(unsigned lock_id, CoreId core,
-                   std::function<void()> on_acquired)
+LockTable::acquire(unsigned lock_id, CoreId core, Granted on_acquired)
 {
     LockState &ls = locks[lock_id];
     if (!ls.locked) {
@@ -57,7 +56,7 @@ LockTable::release(unsigned lock_id, CoreId core)
     // never appears free mid-handoff; the handoff costs the release
     // latency before the grant fires.
     Waiter w = std::move(ls.waiters.front());
-    ls.waiters.pop_front();
+    ls.waiters.erase(ls.waiters.begin());
     ls.owner = w.core;
     ++acquires;
     schedule(After{releaseLatency + acquireLatency}, std::move(w.cb));

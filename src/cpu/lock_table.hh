@@ -14,10 +14,10 @@
 #ifndef PMEMSPEC_CPU_LOCK_TABLE_HH
 #define PMEMSPEC_CPU_LOCK_TABLE_HH
 
-#include <deque>
-#include <functional>
 #include <map>
+#include <vector>
 
+#include "common/inplace_fn.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "sim/sim_object.hh"
@@ -29,6 +29,10 @@ namespace pmemspec::cpu
 class LockTable : public sim::SimObject
 {
   public:
+    /** Grant continuation; inline up to 24 bytes (the core's
+     *  this + lock id + abort generation). */
+    using Granted = InplaceFn<void(), 24>;
+
     LockTable(sim::EventQueue &eq, StatGroup *parent,
               Tick acquire_latency = nsToTicks(20),
               Tick release_latency = nsToTicks(10));
@@ -38,8 +42,7 @@ class LockTable : public sim::SimObject
      * acquire latency) as soon as the lock is granted -- immediately
      * if free, or after the current holder and queued waiters.
      */
-    void acquire(unsigned lock_id, CoreId core,
-                 std::function<void()> on_acquired);
+    void acquire(unsigned lock_id, CoreId core, Granted on_acquired);
 
     /** Release a held lock; the next waiter (if any) is granted. */
     void release(unsigned lock_id, CoreId core);
@@ -61,18 +64,19 @@ class LockTable : public sim::SimObject
     struct Waiter
     {
         CoreId core;
-        std::function<void()> cb;
+        Granted cb;
     };
 
     struct LockState
     {
         bool locked = false;
         CoreId owner = 0;
-        std::deque<Waiter> waiters;
+        /** FIFO of blocked acquirers (at most one per core; a vector
+         *  keeps its storage across handoffs, a deque would not). */
+        std::vector<Waiter> waiters;
     };
 
-    void grant(unsigned lock_id, LockState &ls, CoreId core,
-               std::function<void()> cb);
+    void grant(unsigned lock_id, LockState &ls, CoreId core, Granted cb);
 
     Tick acquireLatency;
     Tick releaseLatency;

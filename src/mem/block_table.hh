@@ -28,10 +28,10 @@
 #define PMEMSPEC_MEM_BLOCK_TABLE_HH
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
+#include "common/inplace_fn.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 
@@ -42,6 +42,10 @@ namespace pmemspec::mem
 class BlockTable
 {
   public:
+    /** A read parked until the block's buffered persists drain; sized
+     *  for the PM controller's pending-read closure. */
+    using PersistWaiter = InplaceFn<void(), 32>;
+
     explicit BlockTable(std::size_t capacity_hint = 256)
     {
         std::size_t cap = 16;
@@ -165,7 +169,7 @@ class BlockTable
 
     /** Queue a callback until the block's pending persists drain. */
     void
-    addPersistWaiter(Addr a, std::function<void()> f)
+    addPersistWaiter(Addr a, PersistWaiter f)
     {
         const std::uint32_t i = findOrInsert(a);
         const std::uint32_t w = allocWaiter();
@@ -178,23 +182,29 @@ class BlockTable
         waiterTail_[i] = w;
     }
 
-    /** Detach the block's waiters in FIFO order. */
-    std::vector<std::function<void()>>
-    takePersistWaiters(Addr a)
+    /**
+     * Detach the block's waiters and run them in FIFO order. Waiters
+     * queued while they run (on this or any block) wait for the next
+     * drain. @return how many ran.
+     */
+    std::size_t
+    runPersistWaiters(Addr a)
     {
-        std::vector<std::function<void()>> out;
         const std::uint32_t i = find(a);
         if (i == kNil)
-            return out;
+            return 0;
         std::uint32_t w = waiterHead_[i];
         waiterHead_[i] = waiterTail_[i] = kNil;
+        std::size_t ran = 0;
         while (w != kNil) {
-            out.push_back(std::move(waiters_[w].fn));
+            PersistWaiter f = std::move(waiters_[w].fn);
             const std::uint32_t next = waiters_[w].next;
             freeWaiter(w);
+            f();
+            ++ran;
             w = next;
         }
-        return out;
+        return ran;
     }
 
     // ---- speculation-ID order automaton (Section 5.2.2) ------------
@@ -470,7 +480,7 @@ class BlockTable
 
     struct WaiterNode
     {
-        std::function<void()> fn;
+        PersistWaiter fn;
         std::uint32_t next = kNil;
     };
 

@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "common/logging.hh"
+#include "mem/pmc_retry.hh"
 
 namespace pmemspec::mem
 {
@@ -39,6 +40,8 @@ MemorySystem::MemorySystem(sim::EventQueue &eq, StatGroup *parent,
         pmControllers.push_back(std::make_unique<PmController>(
             eq, &stats(), cfg, dsgn,
             i == 0 ? "pmc" : "pmc" + std::to_string(i)));
+        pmControllers.back()->setFillHandler(
+            [this](Addr block, ReadStatus st) { onPmFill(block, st); });
     }
 
     if (dsgn == Design::PmemSpec) {
@@ -161,7 +164,7 @@ MemorySystem::handleLlcEviction(const Eviction &ev)
         return;
     // Design-specific: IntelX86 writes back; the buffered designs and
     // PMEM-Spec drop the data (PMEM-Spec notifies its spec buffer).
-    pmcFor(ev.blockAddr).writeBack(ev.blockAddr, [] {});
+    writeBackToPmc(ev.blockAddr, nullptr);
 }
 
 void
@@ -186,39 +189,52 @@ MemorySystem::fillL1(CoreId c, Addr block, bool dirty)
 }
 
 void
-MemorySystem::fillFromPm(CoreId c, Addr block, bool for_store,
-                         Done on_done)
+MemorySystem::fillFromPm(CoreId c, Addr block)
 {
-    auto it = llcMshrs.find(block);
-    if (it != llcMshrs.end()) {
-        it->second.push_back(std::move(on_done));
-        return;
-    }
-    llcMshrs[block].push_back(std::move(on_done));
-    (void)for_store;
-    pmcFor(block).readChecked(block, [this, c, block](ReadStatus st) {
-        if (st == ReadStatus::Poisoned)
-            ++poisonedFills;
-        fillL1(c, block, false);
-        auto node = llcMshrs.extract(block);
-        panic_if(node.empty(), "LLC MSHR vanished for block");
-        for (auto &cb : node.mapped())
-            cb();
+    if (llcMshrs.add(block, c))
+        pmcFor(block).read(block);
+}
+
+void
+MemorySystem::onPmFill(Addr block, ReadStatus status)
+{
+    if (status == ReadStatus::Poisoned)
+        ++poisonedFills;
+    // The core that opened the LLC miss receives the line; requests of
+    // other cores merged into it complete their own L1 miss.
+    bool opener = true;
+    llcMshrs.complete(block, [this, block, &opener](CoreId c) {
+        if (opener) {
+            fillL1(c, block, false);
+            opener = false;
+        }
+        completeL1Miss(c, block);
     });
 }
 
 void
-MemorySystem::missToLlc(CoreId c, Addr block, bool for_store,
-                        Done on_done)
+MemorySystem::completeL1Miss(CoreId c, Addr block)
 {
-    Tick llc_lat = cfg.llcHitLatency + cfg.l1ToLlcExtra;
-    schedule(After{llc_lat}, [this, c, block, for_store,
-                         cb = std::move(on_done)]() mutable {
+    l1Mshrs[c].complete(block, [this, c, block](L1Waiter &w) {
+        if (w.dirtyOnFill) {
+            if (l1s[c]->contains(block))
+                l1s[c]->markDirty(block);
+            else
+                fillL1(c, block, true);
+        }
+        w.cb();
+    });
+}
+
+void
+MemorySystem::missToLlc(CoreId c, Addr block)
+{
+    scheduleInline(cfg.llcHitLatency + cfg.l1ToLlcExtra, [this, c, block] {
         if (sharedLlc->access(block)) {
             fillL1(c, block, false);
-            cb();
+            completeL1Miss(c, block);
         } else {
-            fillFromPm(c, block, for_store, std::move(cb));
+            fillFromPm(c, block);
         }
     });
 }
@@ -227,48 +243,44 @@ void
 MemorySystem::load(CoreId c, Addr addr, Done on_done)
 {
     const Addr block = blockAlign(addr);
-    schedule(After{cfg.l1HitLatency}, [this, c, block,
-                                  cb = std::move(on_done)]() mutable {
+    scheduleInline(cfg.l1HitLatency, [this, c, block,
+                                      cb = std::move(on_done)]() mutable {
         if (l1s[c]->access(block)) {
             cb();
             return;
         }
         // Merge with an outstanding miss to the same block (MSHR).
-        auto &mshr = l1Mshrs[c];
-        auto it = mshr.find(block);
-        if (it != mshr.end()) {
-            it->second.push_back(std::move(cb));
-            return;
-        }
-        mshr[block].push_back(std::move(cb));
-        missToLlc(c, block, false, [this, c, block] {
-            auto node = l1Mshrs[c].extract(block);
-            panic_if(node.empty(), "L1 MSHR vanished for block");
-            for (auto &waiter : node.mapped())
-                waiter();
-        });
+        if (l1Mshrs[c].add(block, L1Waiter{std::move(cb), false}))
+            missToLlc(c, block);
     });
 }
 
-void
+bool
 MemorySystem::captureStore(CoreId c, Addr block,
-                           std::optional<SpecId> spec_id,
-                           Done on_captured)
+                           std::optional<SpecId> spec_id, Done &on_done)
 {
+    // A store that finds its persist agent full parks one retry of
+    // the whole store; the retry owns the store's continuation.
+    auto parkedRetry = [&] {
+        auto retry = [this, c, block, spec_id,
+                      cb = std::move(on_done)]() mutable {
+            store(c, block, spec_id, std::move(cb));
+        };
+        static_assert(PersistPath::Waiter::storesInline<decltype(retry)>);
+        static_assert(
+            PersistBuffer::Waiter::storesInline<decltype(retry)>);
+        return retry;
+    };
     switch (dsgn) {
       case Design::IntelX86:
-        on_captured();
-        return;
+        return true;
       case Design::PmemSpec: {
         const unsigned lane =
             (pathLanes > 1) ? pmcIndexFor(block) : 0;
         PersistPath &p = path(c, lane);
         if (p.full()) {
-            p.notifyWhenNotFull([this, c, block, spec_id,
-                                 cb = std::move(on_captured)]() mutable {
-                captureStore(c, block, spec_id, std::move(cb));
-            });
-            return;
+            p.notifyWhenNotFull(parkedRetry());
+            return false;
         }
         if (pathLanes > 1) {
             const std::uint64_t seq = persistSeqCounter[c]++;
@@ -276,24 +288,20 @@ MemorySystem::captureStore(CoreId c, Addr block,
             outstandingSeqs[c].emplace(seq, true);
         }
         p.send(block, spec_id);
-        on_captured();
-        return;
+        return true;
       }
       case Design::DPO:
       case Design::HOPS: {
         PersistBuffer &pb = *pbufs[c];
         if (pb.full()) {
-            pb.notifyWhenNotFull([this, c, block, spec_id,
-                                  cb = std::move(on_captured)]() mutable {
-                captureStore(c, block, spec_id, std::move(cb));
-            });
-            return;
+            pb.notifyWhenNotFull(parkedRetry());
+            return false;
         }
         pb.append(block);
-        on_captured();
-        return;
+        return true;
       }
     }
+    panic("unhandled design");
 }
 
 void
@@ -304,40 +312,20 @@ MemorySystem::store(CoreId c, Addr addr, std::optional<SpecId> spec_id,
     // "PMEM-Spec sends PM data being stored to both the CPU caches and
     // the persist-path simultaneously when they leave the store queue"
     // (Section 4.2); the buffered designs capture at the same point.
-    captureStore(c, block, spec_id,
-                 [this, c, block, cb = std::move(on_done)]() mutable {
-        schedule(After{cfg.l1HitLatency}, [this, c, block,
-                                      cb = std::move(cb)]() mutable {
-            invalidateOtherL1s(c, block);
-            if (l1s[c]->access(block)) {
-                l1s[c]->markDirty(block);
-                cb();
-                return;
-            }
-            // Write-allocate: fetch the block, then dirty it.
-            ++storeAllocFetches;
-            auto &mshr = l1Mshrs[c];
-            auto dirty_then = [this, c, block,
-                               cb2 = std::move(cb)]() mutable {
-                if (l1s[c]->contains(block))
-                    l1s[c]->markDirty(block);
-                else
-                    fillL1(c, block, true);
-                cb2();
-            };
-            auto it = mshr.find(block);
-            if (it != mshr.end()) {
-                it->second.push_back(std::move(dirty_then));
-                return;
-            }
-            mshr[block].push_back(std::move(dirty_then));
-            missToLlc(c, block, true, [this, c, block] {
-                auto node = l1Mshrs[c].extract(block);
-                panic_if(node.empty(), "L1 MSHR vanished for block");
-                for (auto &waiter : node.mapped())
-                    waiter();
-            });
-        });
+    if (!captureStore(c, block, spec_id, on_done))
+        return;
+    scheduleInline(cfg.l1HitLatency, [this, c, block,
+                                      cb = std::move(on_done)]() mutable {
+        invalidateOtherL1s(c, block);
+        if (l1s[c]->access(block)) {
+            l1s[c]->markDirty(block);
+            cb();
+            return;
+        }
+        // Write-allocate: fetch the block, then dirty it.
+        ++storeAllocFetches;
+        if (l1Mshrs[c].add(block, L1Waiter{std::move(cb), true}))
+            missToLlc(c, block);
     });
 }
 
@@ -345,8 +333,8 @@ void
 MemorySystem::clwb(CoreId c, Addr addr, Done on_done)
 {
     const Addr block = blockAlign(addr);
-    schedule(After{cfg.l1HitLatency}, [this, c, block,
-                                  cb = std::move(on_done)]() mutable {
+    scheduleInline(cfg.l1HitLatency, [this, c, block,
+                                      cb = std::move(on_done)]() mutable {
         if (dsgn == Design::DPO) {
             // DPO's persist buffers already captured the stores; the
             // CLWB microcode completes without touching PM.
@@ -366,15 +354,27 @@ MemorySystem::clwb(CoreId c, Addr addr, Done on_done)
         // Transport to the PMC, acceptance into the ADR domain, then
         // the completion acknowledgment travelling back to the core
         // (what a following SFENCE actually waits for).
-        schedule(After{cfg.l1ToPmcLatency},
-                   [this, block, cb = std::move(cb)]() mutable {
-                       pmcFor(block).writeBack(
-                           block, [this, cb = std::move(cb)]() mutable {
-                               schedule(After{cfg.l1ToPmcLatency},
-                                          std::move(cb));
-                           });
-                   });
+        scheduleInline(cfg.l1ToPmcLatency,
+                       [this, block, cb = std::move(cb)]() mutable {
+                           writeBackToPmc(block, std::move(cb));
+                       });
     });
+}
+
+void
+MemorySystem::writeBackToPmc(Addr block, Done on_acked)
+{
+    if (!pmcFor(block).writeBack(block)) {
+        // IntelX86 write queue full: re-offer on the fixed writeback
+        // schedule (pmc_retry.hh).
+        scheduleInline(pmcWriteBackRetry,
+                       [this, block, cb = std::move(on_acked)]() mutable {
+                           writeBackToPmc(block, std::move(cb));
+                       });
+        return;
+    }
+    if (on_acked)
+        scheduleInline(cfg.l1ToPmcLatency, std::move(on_acked));
 }
 
 void
@@ -382,19 +382,26 @@ MemorySystem::specBarrier(CoreId c, Done on_done)
 {
     panic_if(dsgn != Design::PmemSpec,
              "spec-barrier only exists under PMEM-Spec");
+    awaitLanesEmpty(c, 0, std::move(on_done));
+}
+
+void
+MemorySystem::awaitLanesEmpty(CoreId c, unsigned lane, Done on_done)
+{
     // The core learns that its persists reached the PM controller(s)
     // through small acks on the regular on-chip network (the persist
     // path itself is write-only), one transport delay after the last
-    // arrival, across every lane.
-    auto remaining = std::make_shared<unsigned>(pathLanes);
-    auto cb = std::make_shared<Done>(std::move(on_done));
-    for (unsigned lane = 0; lane < pathLanes; ++lane) {
-        path(c, lane).notifyWhenEmpty([this, remaining, cb] {
-            if (--*remaining == 0) {
-                schedule(After{cfg.l1ToPmcLatency}, [cb] { (*cb)(); });
-            }
-        });
-    }
+    // arrival, across every lane. The core sends nothing past a
+    // pending barrier, so its lanes only drain meanwhile: waiting for
+    // them one after another ends exactly when the last one empties.
+    auto next = [this, c, lane, cb = std::move(on_done)]() mutable {
+        if (lane + 1 < pathLanes)
+            awaitLanesEmpty(c, lane + 1, std::move(cb));
+        else
+            scheduleInline(cfg.l1ToPmcLatency, std::move(cb));
+    };
+    static_assert(PersistPath::Waiter::storesInline<decltype(next)>);
+    path(c, lane).notifyWhenEmpty(std::move(next));
 }
 
 void
@@ -404,9 +411,11 @@ MemorySystem::dfence(CoreId c, Done on_done)
              "dfence requires persist buffers");
     // The durability ack for the last drained entry returns over the
     // regular on-chip network.
-    pbufs[c]->notifyWhenEmpty([this, cb = std::move(on_done)]() mutable {
-        schedule(After{cfg.l1ToPmcLatency}, std::move(cb));
-    });
+    auto ack = [this, cb = std::move(on_done)]() mutable {
+        scheduleInline(cfg.l1ToPmcLatency, std::move(cb));
+    };
+    static_assert(PersistBuffer::Waiter::storesInline<decltype(ack)>);
+    pbufs[c]->notifyWhenEmpty(std::move(ack));
 }
 
 void

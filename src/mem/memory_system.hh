@@ -9,22 +9,32 @@
  * the block in every other L1. Requests are latency-chained through
  * the event queue; MSHRs merge concurrent misses to the same block at
  * both levels.
+ *
+ * Continuation ownership: each request carries exactly one Done, a
+ * move-only continuation stored inline. Every hop moves it into the
+ * next event or waiter record and never wraps it in another
+ * continuation -- misses park it in an MSHR entry, PM fills come back
+ * through a direct member completion (onPmFill), and a store that
+ * finds its persist agent full parks a retry that re-enters store().
+ * The static_asserts at each hop keep the closures inline, so the
+ * steady-state request path performs no heap allocation.
  */
 
 #ifndef PMEMSPEC_MEM_MEMORY_SYSTEM_HH
 #define PMEMSPEC_MEM_MEMORY_SYSTEM_HH
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "common/inplace_fn.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/cache.hh"
 #include "mem/mem_config.hh"
+#include "mem/mshr_file.hh"
 #include "mem/persist_buffer.hh"
 #include "mem/persist_path.hh"
 #include "mem/pm_controller.hh"
@@ -39,7 +49,10 @@ namespace pmemspec::mem
 class MemorySystem : public sim::SimObject
 {
   public:
-    using Done = std::function<void()>;
+    /** A request's one-shot completion. Move-only; inline up to 24
+     *  bytes, which holds the cores' continuations (this plus two
+     *  words) -- see the ownership rule in the file comment. */
+    using Done = InplaceFn<void(), 24>;
 
     MemorySystem(sim::EventQueue &eq, StatGroup *parent,
                  const MemConfig &cfg, persistency::Design design);
@@ -129,17 +142,55 @@ class MemorySystem : public sim::SimObject
     Counter poisonedFills;
 
   private:
-    void missToLlc(CoreId c, Addr block, bool for_store, Done on_done);
-    void fillFromPm(CoreId c, Addr block, bool for_store, Done on_done);
+    /** A request merged into an L1 miss. */
+    struct L1Waiter
+    {
+        Done cb;
+        /** Write-allocate: dirty the block when the fill lands. */
+        bool dirtyOnFill = false;
+    };
+
+    /** schedule() for hot-path closures: fails the build if f would
+     *  be boxed on the heap instead of stored in the event record. */
+    template <typename F>
+    void
+    scheduleInline(Tick delay, F &&f)
+    {
+        static_assert(sim::EventQueue::storesInline<F>,
+                      "hot-path closure outgrew EventQueue::kInlineBytes");
+        schedule(After{delay}, std::forward<F>(f));
+    }
+
+    /** Core c's L1 miss to block travels to the LLC. */
+    void missToLlc(CoreId c, Addr block);
+    /** LLC miss: merge into (or open) the block's PM read. */
+    void fillFromPm(CoreId c, Addr block);
+    /** PM fill completion (the controllers' fill handler). */
+    void onPmFill(Addr block, ReadStatus status);
+    /** Close core c's L1 miss to block and run its merged requests. */
+    void completeL1Miss(CoreId c, Addr block);
     /** Install a block into core c's L1 (and the LLC), handling
      *  evictions at both levels. */
     void fillL1(CoreId c, Addr block, bool dirty);
     void handleLlcEviction(const Eviction &ev);
     void invalidateOtherL1s(CoreId c, Addr block);
 
-    /** Per-design persistence capture of a committed store. */
-    void captureStore(CoreId c, Addr block,
-                      std::optional<SpecId> spec_id, Done on_captured);
+    /** Offer a writeback to the block's PMC, re-offering it every
+     *  pmcWriteBackRetry while refused; on_acked (if set) fires one
+     *  NoC hop after acceptance. */
+    void writeBackToPmc(Addr block, Done on_acked);
+
+    /** spec-barrier over core c's lanes [lane, pathLanes). */
+    void awaitLanesEmpty(CoreId c, unsigned lane, Done on_done);
+
+    /**
+     * Per-design persistence capture of a committed store.
+     * @return true when captured now; false when the persist agent was
+     *         full, in which case on_done has moved into a parked
+     *         retry that re-enters store() once space frees.
+     */
+    bool captureStore(CoreId c, Addr block,
+                      std::optional<SpecId> spec_id, Done &on_done);
 
     /** Oracle bookkeeping for the multi-PMC hazard counter. */
     void recordPersistArrival(CoreId c, std::uint64_t seq);
@@ -169,10 +220,11 @@ class MemorySystem : public sim::SimObject
     /** Per core: smallest not-yet-arrived sequence heap substitute. */
     std::vector<std::map<std::uint64_t, bool>> outstandingSeqs;
 
-    /** L1-level MSHRs: block -> waiters (per core). */
-    std::vector<std::map<Addr, std::vector<Done>>> l1Mshrs;
-    /** LLC-level MSHRs: block -> fill callbacks. */
-    std::map<Addr, std::vector<Done>> llcMshrs;
+    /** L1-level MSHRs, one file per core. */
+    std::vector<MshrFile<L1Waiter>> l1Mshrs;
+    /** LLC-level MSHRs: the cores waiting on each PM fill, the one
+     *  that opened the miss first. */
+    MshrFile<CoreId> llcMshrs;
 
     /** Lock watermarks for persist-buffer dependencies. */
     struct LockWatermark

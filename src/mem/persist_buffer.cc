@@ -66,7 +66,8 @@ PersistBuffer::append(Addr block_addr)
     ++appends;
     // Coalesce repeated stores to the same block within an epoch; the
     // buffer holds whole cache blocks, so a second store just merges.
-    for (auto &e : pending) {
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+        const Entry &e = pending[i];
         if (e.addr == block_addr && e.epoch == curEpoch) {
             ++coalesces;
             return;
@@ -136,7 +137,7 @@ PersistBuffer::pump()
                 return; // wait for the previous epoch to land
         }
         if (globalToken && !globalToken->tryAcquire()) {
-            globalToken->waiters.push_back([this] { pump(); });
+            globalToken->waiters.push([this] { pump(); });
             return;
         }
         Entry e = head;
@@ -179,41 +180,33 @@ PersistBuffer::finishOne(Entry e)
     if (filterRemove)
         filterRemove(e.addr);
 
-    if (empty() && !emptyWaiters.empty()) {
-        auto w = std::move(emptyWaiters);
-        emptyWaiters.clear();
-        for (auto &cb : w)
-            cb();
-    }
-    if (!full() && !spaceWaiters.empty()) {
-        auto w = std::move(spaceWaiters);
-        spaceWaiters.clear();
-        for (auto &cb : w)
-            cb();
-    }
+    if (empty())
+        emptyWaiters.runAll();
+    if (!full())
+        spaceWaiters.runAll();
     if (progressHook)
         progressHook();
     pump();
 }
 
 void
-PersistBuffer::notifyWhenEmpty(std::function<void()> cb)
+PersistBuffer::notifyWhenEmpty(Waiter cb)
 {
     if (empty()) {
         cb();
         return;
     }
-    emptyWaiters.push_back(std::move(cb));
+    emptyWaiters.push(std::move(cb));
 }
 
 void
-PersistBuffer::notifyWhenNotFull(std::function<void()> cb)
+PersistBuffer::notifyWhenNotFull(Waiter cb)
 {
     if (!full()) {
         cb();
         return;
     }
-    spaceWaiters.push_back(std::move(cb));
+    spaceWaiters.push(std::move(cb));
 }
 
 } // namespace pmemspec::mem

@@ -31,14 +31,16 @@
 #define PMEMSPEC_MEM_PERSIST_BUFFER_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <vector>
 
 #include "common/backoff.hh"
+#include "common/inplace_fn.hh"
+#include "common/ring_queue.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "common/waiter_list.hh"
 #include "mem/pmc_retry.hh"
 #include "sim/sim_object.hh"
 
@@ -49,7 +51,8 @@ namespace pmemspec::mem
 struct GlobalDrainToken
 {
     bool busy = false;
-    std::vector<std::function<void()>> waiters;
+    /** Buffers to re-pump at the next release, in arrival order. */
+    WaiterList<InplaceFn<void(), 8>> waiters;
 
     bool
     tryAcquire()
@@ -64,10 +67,7 @@ struct GlobalDrainToken
     release()
     {
         busy = false;
-        auto w = std::move(waiters);
-        waiters.clear();
-        for (auto &cb : w)
-            cb();
+        waiters.runAll();
     }
 };
 
@@ -115,11 +115,15 @@ class PersistBuffer : public sim::SimObject
     /** @return true when no entry is pending or in flight. */
     bool empty() const { return pending.empty() && inFlight.empty(); }
 
+    /** One-shot completion waiter, sized like PersistPath::Waiter for
+     *  the memory system's parked store retry. */
+    using Waiter = InplaceFn<void(), 80>;
+
     /** Invoke cb when the buffer next drains empty (dfence). */
-    void notifyWhenEmpty(std::function<void()> cb);
+    void notifyWhenEmpty(Waiter cb);
 
     /** Invoke cb when space is available (store-queue backpressure). */
-    void notifyWhenNotFull(std::function<void()> cb);
+    void notifyWhenNotFull(Waiter cb);
 
     /** Sequence number that the next appended entry will get. */
     std::uint64_t nextSeq() const { return seqCounter; }
@@ -147,9 +151,9 @@ class PersistBuffer : public sim::SimObject
   private:
     struct Entry
     {
-        Addr addr;
-        std::uint64_t epoch;
-        std::uint64_t seq;
+        Addr addr = 0;
+        std::uint64_t epoch = 0;
+        std::uint64_t seq = 0;
     };
 
     bool depsSatisfied();
@@ -169,13 +173,13 @@ class PersistBuffer : public sim::SimObject
     FilterHook filterRemove;
     std::function<void()> progressHook;
 
-    std::deque<Entry> pending;
+    RingQueue<Entry> pending;
     std::vector<Entry> inFlight;
     std::uint64_t curEpoch = 0;
     std::uint64_t seqCounter = 0;
     std::vector<PersistDep> deps;
-    std::vector<std::function<void()>> emptyWaiters;
-    std::vector<std::function<void()>> spaceWaiters;
+    WaiterList<Waiter> emptyWaiters;
+    WaiterList<Waiter> spaceWaiters;
 };
 
 } // namespace pmemspec::mem

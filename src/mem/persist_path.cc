@@ -103,18 +103,10 @@ PersistPath::pump()
 void
 PersistPath::drainWaiters()
 {
-    if (fifo.empty() && !emptyWaiters.empty()) {
-        auto waiters = std::move(emptyWaiters);
-        emptyWaiters.clear();
-        for (auto &cb : waiters)
-            cb();
-    }
-    if (!full() && !spaceWaiters.empty()) {
-        auto waiters = std::move(spaceWaiters);
-        spaceWaiters.clear();
-        for (auto &cb : waiters)
-            cb();
-    }
+    if (fifo.empty())
+        emptyWaiters.runAll();
+    if (!full())
+        spaceWaiters.runAll();
 }
 
 void
@@ -124,7 +116,7 @@ PersistPath::notifyWhenEmpty(Waiter cb)
         cb();
         return;
     }
-    emptyWaiters.push_back(std::move(cb));
+    emptyWaiters.push(std::move(cb));
 }
 
 void
@@ -134,7 +126,7 @@ PersistPath::notifyWhenNotFull(Waiter cb)
         cb();
         return;
     }
-    spaceWaiters.push_back(std::move(cb));
+    spaceWaiters.push(std::move(cb));
 }
 
 } // namespace pmemspec::mem

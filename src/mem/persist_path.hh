@@ -15,17 +15,17 @@
 #ifndef PMEMSPEC_MEM_PERSIST_PATH_HH
 #define PMEMSPEC_MEM_PERSIST_PATH_HH
 
-#include <deque>
 #include <functional>
 #include <optional>
-#include <vector>
 
 #include "common/backoff.hh"
 #include "common/inplace_fn.hh"
+#include "common/ring_queue.hh"
 #include "common/stats.hh"
-#include "mem/pmc_retry.hh"
 #include "common/trace.hh"
 #include "common/types.hh"
+#include "common/waiter_list.hh"
+#include "mem/pmc_retry.hh"
 #include "sim/sim_object.hh"
 
 namespace pmemspec::mem
@@ -89,8 +89,10 @@ class PersistPath : public sim::SimObject
     /** In-flight persists currently buffered in the path (metrics). */
     std::size_t occupancy() const { return fifo.size(); }
 
-    /** One-shot completion waiter (moved in, invoked once). */
-    using Waiter = InplaceFn<void()>;
+    /** One-shot completion waiter (moved in, invoked once). Sized
+     *  for the memory system's parked store retry, which carries the
+     *  store's own continuation. */
+    using Waiter = InplaceFn<void(), 80>;
 
     /** Invoke cb once the path next becomes empty (immediately if it
      *  already is). Used by spec-barrier. */
@@ -121,9 +123,9 @@ class PersistPath : public sim::SimObject
   private:
     struct Flit
     {
-        Addr addr;
+        Addr addr = 0;
         std::optional<SpecId> specId;
-        Tick readyAt; ///< earliest tick it may reach the PMC
+        Tick readyAt = 0; ///< earliest tick it may reach the PMC
     };
 
     /** Try to deliver the FIFO head; reschedules itself as needed. */
@@ -138,11 +140,11 @@ class PersistPath : public sim::SimObject
     BoundedBackoff pmcBackoff = pmcRetryBackoff();
     DeliverFn deliver;
     DelayHook delayHook;
-    std::deque<Flit> fifo;
+    RingQueue<Flit> fifo;
     Tick lastArrival = 0;
     bool pumpScheduled = false;
-    std::vector<Waiter> emptyWaiters;
-    std::vector<Waiter> spaceWaiters;
+    WaiterList<Waiter> emptyWaiters;
+    WaiterList<Waiter> spaceWaiters;
 
     trace::Manager *traceMgr = nullptr;
     std::uint16_t traceUnit = 0;

@@ -1,6 +1,7 @@
 #include "pm_controller.hh"
 
 #include "common/logging.hh"
+#include "mem/pmc_retry.hh"
 
 namespace pmemspec::mem
 {
@@ -67,42 +68,41 @@ PmController::bankFree(Addr block_addr)
 }
 
 void
-PmController::serviceRead(Addr block_addr, Tick enq,
-                          std::function<void()> cb)
+PmController::serviceRead(PendingRead r)
 {
     if (outstandingReads >= cfg.pmcReadQueue) {
-        // Read queue full: retry shortly.
-        schedule(After{ticksPerNs},
-                   [this, block_addr, enq, cb = std::move(cb)]() mutable {
-                       serviceRead(block_addr, enq, std::move(cb));
-                   });
+        // Read queue full: poll again on the fixed read-queue
+        // schedule (pmc_retry.hh).
+        schedule(After{pmcReadQueueRetry}, [this, r] { serviceRead(r); });
         return;
     }
     ++outstandingReads;
     ++reads;
     PMEMSPEC_TRACE(traceMgr, FlagPmController, trace::EventKind::PmcRead,
-                   curTick(), trace::kNoCore, block_addr,
+                   curTick(), trace::kNoCore, r.block,
                    {.arg = outstandingReads, .unit = traceUnit});
 
     if (design == Design::PmemSpec)
-        specBuf->read(block_addr);
+        specBuf->read(r.block);
 
-    Tick &free_at = bankFree(block_addr);
+    Tick &free_at = bankFree(r.block);
     Tick start = std::max(curTick(), free_at);
     Tick done = start + cfg.pmReadLatency;
     free_at = done;
-    schedule(After{done - curTick()}, [this, enq, cb = std::move(cb)] {
+    auto fill = [this, r] {
         --outstandingReads;
         readLatencyStat.sample(
-            static_cast<double>(curTick() - enq) / ticksPerNs);
-        cb();
-    });
+            static_cast<double>(curTick() - r.enq) / ticksPerNs);
+        finishRead(r);
+    };
+    static_assert(sim::EventQueue::storesInline<decltype(fill)>);
+    schedule(After{done - curTick()}, std::move(fill));
 }
 
 void
-PmController::read(Addr block_addr, std::function<void()> on_done)
+PmController::issueRead(Addr block_addr, unsigned retries_left)
 {
-    const Tick enq = curTick();
+    const PendingRead r{block_addr, curTick(), retries_left};
 
     if (design == Design::HOPS) {
         // Every PM read pays the bloom-filter lookup (Section 8.2.2).
@@ -112,31 +112,29 @@ PmController::read(Addr block_addr, std::function<void()> on_done)
                 // Real conflict: the block sits in a persist buffer.
                 // HOPS postpones the read until the buffer drains it.
                 ++bloomTrueHits;
-                blocks.addPersistWaiter(
-                    block_addr,
-                    [this, block_addr, enq,
-                     cb = std::move(on_done)]() mutable {
-                        serviceRead(block_addr, enq, std::move(cb));
-                    });
+                auto resume = [this, r] { serviceRead(r); };
+                static_assert(BlockTable::PersistWaiter::storesInline<
+                              decltype(resume)>);
+                blocks.addPersistWaiter(block_addr, std::move(resume));
                 return;
             }
             // False positive: delay by the configured penalty.
             ++bloomFalsePositives;
             schedule(After{lookup + cfg.bloomFalsePositivePenalty},
-                       [this, block_addr, enq,
-                        cb = std::move(on_done)]() mutable {
-                           serviceRead(block_addr, enq, std::move(cb));
-                       });
+                     [this, r] { serviceRead(r); });
             return;
         }
-        schedule(After{lookup}, [this, block_addr, enq,
-                            cb = std::move(on_done)]() mutable {
-            serviceRead(block_addr, enq, std::move(cb));
-        });
+        schedule(After{lookup}, [this, r] { serviceRead(r); });
         return;
     }
 
-    serviceRead(block_addr, enq, std::move(on_done));
+    serviceRead(r);
+}
+
+void
+PmController::read(Addr block_addr)
+{
+    issueRead(block_addr, cfg.pmcPoisonRetries);
 }
 
 void
@@ -152,31 +150,25 @@ PmController::clearPoisonedBlock(Addr block_addr)
 }
 
 void
-PmController::readAttempt(Addr block_addr, unsigned retries_left,
-                          std::function<void(ReadStatus)> cb)
+PmController::finishRead(PendingRead r)
 {
-    read(block_addr, [this, block_addr, retries_left,
-                      cb = std::move(cb)]() mutable {
-        switch (blocks.notePoisonRead(block_addr)) {
-          case BlockTable::PoisonRead::Clean:
-            cb(ReadStatus::Ok);
-            return;
-          case BlockTable::PoisonRead::Healed:
-            // A transient error: this completed device read was the
-            // one that scrubbed the cell back to health.
-            ++poisonHeals;
-            cb(ReadStatus::Ok);
-            return;
-          case BlockTable::PoisonRead::Faulted:
-            break;
-        }
-        if (retries_left > 0) {
+    ReadStatus status = ReadStatus::Ok;
+    switch (blocks.notePoisonRead(r.block)) {
+      case BlockTable::PoisonRead::Clean:
+        break;
+      case BlockTable::PoisonRead::Healed:
+        // A transient error: this completed device read was the one
+        // that scrubbed the cell back to health.
+        ++poisonHeals;
+        break;
+      case BlockTable::PoisonRead::Faulted:
+        if (r.retriesLeft > 0) {
             ++poisonRetries;
             warn_once("PMC read of block %#llx hit poisoned media; "
                       "retrying (logged once; the poisonRetries "
                       "counter tracks the total)",
-                      static_cast<unsigned long long>(block_addr));
-            readAttempt(block_addr, retries_left - 1, std::move(cb));
+                      static_cast<unsigned long long>(r.block));
+            issueRead(r.block, r.retriesLeft - 1);
             return;
         }
         // Retry budget exhausted: the poison propagates to the
@@ -186,16 +178,12 @@ PmController::readAttempt(Addr block_addr, unsigned retries_left,
         warn_once("PMC poison-retry budget exhausted for block %#llx; "
                   "delivering machine-check (logged once; the "
                   "poisonedReads counter tracks the total)",
-                  static_cast<unsigned long long>(block_addr));
-        cb(ReadStatus::Poisoned);
-    });
-}
-
-void
-PmController::readChecked(Addr block_addr,
-                          std::function<void(ReadStatus)> on_done)
-{
-    readAttempt(block_addr, cfg.pmcPoisonRetries, std::move(on_done));
+                  static_cast<unsigned long long>(r.block));
+        status = ReadStatus::Poisoned;
+        break;
+    }
+    if (onFill)
+        onFill(r.block, status);
 }
 
 void
@@ -231,33 +219,25 @@ PmController::serviceWrite(Addr block_addr)
     });
 }
 
-void
-PmController::writeBack(Addr block_addr, std::function<void()> on_accepted)
+bool
+PmController::writeBack(Addr block_addr)
 {
     switch (design) {
       case Design::IntelX86:
         // Normal memory behaviour: the writeback enters the write
         // queue; ADR makes it durable at acceptance.
         if (writeQueue >= cfg.pmcWriteQueue &&
-            !blocks.coalescable(block_addr)) {
-            schedule(After{4 * ticksPerNs},
-                       [this, block_addr,
-                        cb = std::move(on_accepted)]() mutable {
-                           writeBack(block_addr, std::move(cb));
-                       });
-            return;
-        }
+            !blocks.coalescable(block_addr))
+            return false;
         serviceWrite(block_addr);
-        on_accepted();
-        return;
+        return true;
 
       case Design::DPO:
       case Design::HOPS:
         // The persist buffers are the agents of persistence; dirty
         // LLC evictions are dropped (Section 2.2).
         ++droppedWritebacks;
-        on_accepted();
-        return;
+        return true;
 
       case Design::PmemSpec:
         // Silently dropped -- but the WriteBack *request* is the
@@ -268,9 +248,9 @@ PmController::writeBack(Addr block_addr, std::function<void()> on_accepted)
                        trace::kNoCore, block_addr,
                        {.arg = writeQueue, .unit = traceUnit});
         specBuf->writeBack(block_addr);
-        on_accepted();
-        return;
+        return true;
     }
+    panic("unhandled design");
 }
 
 bool
@@ -352,10 +332,8 @@ void
 PmController::filterRemove(Addr block_addr)
 {
     bloom.remove(block_addr);
-    if (blocks.persistDrained(block_addr)) {
-        for (auto &cb : blocks.takePersistWaiters(block_addr))
-            cb();
-    }
+    if (blocks.persistDrained(block_addr))
+        blocks.runPersistWaiters(block_addr);
 }
 
 } // namespace pmemspec::mem

@@ -21,12 +21,11 @@
 #ifndef PMEMSPEC_MEM_PM_CONTROLLER_HH
 #define PMEMSPEC_MEM_PM_CONTROLLER_HH
 
-#include <deque>
-#include <functional>
 #include <optional>
 #include <vector>
 
 #include "common/bloom_filter.hh"
+#include "common/inplace_fn.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/block_table.hh"
@@ -72,22 +71,24 @@ class PmController : public sim::SimObject
                  const MemConfig &cfg, persistency::Design design,
                  std::string name = "pmc");
 
-    /**
-     * Regular-path PM read (the request missed every cache).
-     * @param on_done invoked when the data returns from the device.
-     */
-    void read(Addr block_addr, std::function<void()> on_done);
+    /** Receives every completed PM read: the block, and whether its
+     *  data is good or poisoned. Installed once by the owner (the
+     *  memory system routes fills to its LLC MSHRs), so a read in
+     *  flight carries no continuation of its own. */
+    using FillHandler = InplaceFn<void(Addr, ReadStatus), 16>;
+
+    void setFillHandler(FillHandler h) { onFill = std::move(h); }
 
     /**
-     * Media-fault-aware read: like read(), but if the block is
-     * poisoned the PMC retries the device read up to
-     * cfg.pmcPoisonRetries times (each paying full device latency --
-     * a transient error may clear) and then delivers
+     * Regular-path PM read (the request missed every cache); the fill
+     * handler runs when the data returns from the device. Media-fault
+     * aware: if the block is poisoned the PMC retries the device read
+     * up to cfg.pmcPoisonRetries times (each paying full device
+     * latency -- a transient error may clear) and then delivers
      * ReadStatus::Poisoned instead of data. Graceful degradation:
      * one bad block fails one request, never the controller.
      */
-    void readChecked(Addr block_addr,
-                     std::function<void(ReadStatus)> on_done);
+    void read(Addr block_addr);
 
     /**
      * Mark a block uncorrectable. With transient_reads == 0 the
@@ -110,11 +111,13 @@ class PmController : public sim::SimObject
     /**
      * Regular-path writeback (dirty LLC eviction or explicit CLWB
      * flush). Handling is design-specific; see the file comment.
-     * @param on_accepted invoked once the writeback is accepted into
-     *        the persistent domain (immediately for designs that drop
-     *        it -- the caller's flush is then trivially "complete").
+     * @return true once the writeback is accepted into the persistent
+     *         domain (always, for designs that drop it -- the flush is
+     *         then trivially "complete"); false when the IntelX86
+     *         write queue is full, in which case nothing happened and
+     *         the caller polls again after pmcWriteBackRetry.
      */
-    void writeBack(Addr block_addr, std::function<void()> on_accepted);
+    bool writeBack(Addr block_addr);
 
     /**
      * A persist arrives from a persist-path or persist buffer.
@@ -155,12 +158,25 @@ class PmController : public sim::SimObject
     Accumulator readLatencyStat;
 
   private:
-    /** Issue a device read; completion callback at service end. */
-    void serviceRead(Addr block_addr, Tick enq, std::function<void()> cb);
+    /** One PM read in flight; the poison-retry budget travels with
+     *  it, so every hop of the read path is a small plain closure. */
+    struct PendingRead
+    {
+        Addr block = 0;
+        Tick enq = 0; ///< when this attempt entered the controller
+        unsigned retriesLeft = 0;
+    };
 
-    /** One attempt of the poisoned-read retry loop. */
-    void readAttempt(Addr block_addr, unsigned retries_left,
-                     std::function<void(ReadStatus)> cb);
+    /** Start one read attempt: the HOPS bloom front end, then the
+     *  device queue. */
+    void issueRead(Addr block_addr, unsigned retries_left);
+
+    /** Issue a device read; finishRead() at service end. */
+    void serviceRead(PendingRead r);
+
+    /** Step the poison automaton for a completed device read: retry,
+     *  or hand the fill to the fill handler. */
+    void finishRead(PendingRead r);
 
     /** Push one write into the banked device. */
     void serviceWrite(Addr block_addr);
@@ -189,6 +205,8 @@ class PmController : public sim::SimObject
 
     /** PMEM-Spec machinery. */
     std::optional<SpeculationBuffer> specBuf;
+
+    FillHandler onFill;
 
     /** Run the spec-ID check for a tagged persist. */
     void checkStoreOrder(Addr block_addr, SpecId spec_id);

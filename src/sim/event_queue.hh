@@ -79,8 +79,17 @@ class EventQueue
 {
   public:
     /** Inline storage per event record; callables larger than this are
-     *  boxed on the heap (rare -- captures are this + a few words). */
-    static constexpr std::size_t kInlineBytes = 56;
+     *  boxed on the heap. Sized for the memory system's hot closures
+     *  (this + core + block + one MemorySystem::Done continuation);
+     *  with the 48-byte header a record is 112 bytes. */
+    static constexpr std::size_t kInlineBytes = 64;
+
+    /** True when a callable of type F is stored inline (never boxed);
+     *  hot call sites static_assert it. */
+    template <typename F>
+    static constexpr bool storesInline =
+        sizeof(std::decay_t<F>) <= kInlineBytes &&
+        alignof(std::decay_t<F>) <= alignof(std::max_align_t);
 
     EventQueue();
     ~EventQueue();
@@ -235,7 +244,7 @@ class EventQueue
         Slot &s = slotAt(idx);
         s.when = when;
         s.seq = nextSeq++;
-        if constexpr (sizeof(Fn) <= kInlineBytes) {
+        if constexpr (storesInline<Fn>) {
             ::new (static_cast<void *>(s.buf)) Fn(std::forward<F>(f));
             s.invoke = &invokeInline<Fn>;
             s.destroy = std::is_trivially_destructible_v<Fn>

@@ -76,11 +76,11 @@ TEST(BlockTable, PendingPersistCountAndWaiters)
 
     EXPECT_FALSE(t.persistDrained(kA));
     EXPECT_TRUE(t.persistDrained(kA));
-    for (auto &cb : t.takePersistWaiters(kA))
-        cb();
-    // FIFO: waiters run in arrival order.
+    EXPECT_EQ(t.runPersistWaiters(kA), 3u);
+    // FIFO: waiters run in arrival order, each exactly once.
     EXPECT_EQ(ran, (std::vector<int>{1, 2, 3}));
-    EXPECT_TRUE(t.takePersistWaiters(kA).empty());
+    EXPECT_EQ(t.runPersistWaiters(kA), 0u);
+    EXPECT_EQ(ran.size(), 3u);
 }
 
 TEST(BlockTable, PersistDrainedWithoutBufferedPanics)

@@ -266,8 +266,11 @@ TEST(EventQueue, LargeCallablesAreBoxedAndDestroyed)
     struct Big
     {
         std::shared_ptr<int> token;
-        unsigned char pad[96]; // force the heap-boxed path
+        // Force the heap-boxed path whatever the inline size is.
+        unsigned char pad[EventQueue::kInlineBytes];
     };
+    static_assert(sizeof(Big) > EventQueue::kInlineBytes);
+    static_assert(!EventQueue::storesInline<Big>);
     auto token = std::make_shared<int>(7);
     int got = 0;
     eq.schedule(1, [big = Big{token, {}}, &got] { got = *big.token; });

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <functional>
+#include <map>
 #include <vector>
 
 #include "mem/pm_controller.hh"
@@ -28,9 +31,30 @@ struct Harness
     MemConfig cfg;
     PmController pmc;
 
+    /** Per-block FIFO of the tests' read completions. */
+    std::map<Addr, std::deque<std::function<void()>>> pendingReads;
+    /** Status of every fill, in completion order. */
+    std::vector<mem::ReadStatus> fills;
+
     explicit Harness(Design d, MemConfig c = MemConfig{})
         : cfg(c), pmc(eq, &stats, cfg, d)
     {
+        pmc.setFillHandler([this](Addr block, mem::ReadStatus st) {
+            fills.push_back(st);
+            auto &q = pendingReads[block];
+            ASSERT_FALSE(q.empty()) << "unexpected fill";
+            auto done = std::move(q.front());
+            q.pop_front();
+            done();
+        });
+    }
+
+    /** Issue a PM read; on_done runs when its fill comes back. */
+    void
+    read(Addr block, std::function<void()> on_done)
+    {
+        pendingReads[block].push_back(std::move(on_done));
+        pmc.read(block);
     }
 };
 
@@ -40,7 +64,7 @@ TEST(PmController, ReadTakesDeviceLatency)
 {
     Harness h(Design::IntelX86);
     Tick done = 0;
-    h.pmc.read(0x1000, [&] { done = h.eq.now(); });
+    h.read(0x1000, [&] { done = h.eq.now(); });
     h.eq.run();
     EXPECT_EQ(done, nsToTicks(175));
     EXPECT_EQ(h.pmc.reads.value(), 1u);
@@ -51,8 +75,8 @@ TEST(PmController, SameBankReadsSerialise)
     Harness h(Design::IntelX86);
     std::vector<Tick> done;
     // Same block -> same bank.
-    h.pmc.read(0x1000, [&] { done.push_back(h.eq.now()); });
-    h.pmc.read(0x1000, [&] { done.push_back(h.eq.now()); });
+    h.read(0x1000, [&] { done.push_back(h.eq.now()); });
+    h.read(0x1000, [&] { done.push_back(h.eq.now()); });
     h.eq.run();
     ASSERT_EQ(done.size(), 2u);
     EXPECT_EQ(done[0], nsToTicks(175));
@@ -63,32 +87,76 @@ TEST(PmController, DifferentBanksOverlap)
 {
     Harness h(Design::IntelX86);
     std::vector<Tick> done;
-    h.pmc.read(0, [&] { done.push_back(h.eq.now()); });
-    h.pmc.read(64, [&] { done.push_back(h.eq.now()); }); // next bank
+    h.read(0, [&] { done.push_back(h.eq.now()); });
+    h.read(64, [&] { done.push_back(h.eq.now()); }); // next bank
     h.eq.run();
     ASSERT_EQ(done.size(), 2u);
     EXPECT_EQ(done[0], nsToTicks(175));
     EXPECT_EQ(done[1], nsToTicks(175));
 }
 
+TEST(PmController, PoisonedReadRetriesThenPropagates)
+{
+    Harness h(Design::IntelX86);
+    h.pmc.poisonBlock(0x1000);
+    Tick done = 0;
+    h.read(0x1000, [&] { done = h.eq.now(); });
+    h.eq.run();
+    // Every attempt pays the full device latency on the same bank.
+    const unsigned attempts = h.cfg.pmcPoisonRetries + 1;
+    EXPECT_EQ(done, attempts * nsToTicks(175));
+    EXPECT_EQ(h.pmc.reads.value(), attempts);
+    EXPECT_EQ(h.pmc.poisonRetries.value(), h.cfg.pmcPoisonRetries);
+    EXPECT_EQ(h.pmc.poisonedReads.value(), 1u);
+    EXPECT_EQ(h.fills, std::vector<mem::ReadStatus>{
+                           mem::ReadStatus::Poisoned});
+}
+
+TEST(PmController, TransientPoisonHealsWithinRetryBudget)
+{
+    Harness h(Design::IntelX86);
+    h.pmc.poisonBlock(0x1000, 2); // clears on the second device read
+    Tick done = 0;
+    h.read(0x1000, [&] { done = h.eq.now(); });
+    h.eq.run();
+    EXPECT_EQ(done, 2 * nsToTicks(175));
+    EXPECT_EQ(h.pmc.poisonRetries.value(), 1u);
+    EXPECT_EQ(h.pmc.poisonHeals.value(), 1u);
+    EXPECT_FALSE(h.pmc.isBlockPoisoned(0x1000));
+    EXPECT_EQ(h.fills, std::vector<mem::ReadStatus>{mem::ReadStatus::Ok});
+}
+
 TEST(PmController, IntelWritebackEntersWriteQueue)
 {
     Harness h(Design::IntelX86);
-    bool accepted = false;
-    h.pmc.writeBack(0x1000, [&] { accepted = true; });
-    EXPECT_TRUE(accepted); // ADR: durable at acceptance
+    EXPECT_TRUE(h.pmc.writeBack(0x1000)); // ADR: durable at acceptance
     EXPECT_EQ(h.pmc.writes.value(), 1u);
     h.eq.run();
     EXPECT_EQ(h.pmc.writeQueueOccupancy(), 0u);
+}
+
+TEST(PmController, IntelWritebackRefusedWhileWriteQueueFull)
+{
+    MemConfig cfg;
+    cfg.pmcWriteQueue = 1;
+    Harness h(Design::IntelX86, cfg);
+    EXPECT_TRUE(h.pmc.writeBack(0x1000));
+    // Full queue, different block: refused, and nothing was queued.
+    EXPECT_FALSE(h.pmc.writeBack(0x2000));
+    EXPECT_EQ(h.pmc.writes.value(), 1u);
+    // The queued block itself still coalesces.
+    EXPECT_TRUE(h.pmc.writeBack(0x1000));
+    EXPECT_EQ(h.pmc.writeCoalesces.value(), 1u);
+    h.eq.run(); // the device write drains the queue
+    EXPECT_TRUE(h.pmc.writeBack(0x2000));
+    EXPECT_EQ(h.pmc.writes.value(), 2u);
 }
 
 TEST(PmController, BufferedDesignsDropWritebacks)
 {
     for (Design d : {Design::HOPS, Design::DPO}) {
         Harness h(d);
-        bool accepted = false;
-        h.pmc.writeBack(0x1000, [&] { accepted = true; });
-        EXPECT_TRUE(accepted);
+        EXPECT_TRUE(h.pmc.writeBack(0x1000));
         EXPECT_EQ(h.pmc.droppedWritebacks.value(), 1u);
         EXPECT_EQ(h.pmc.writes.value(), 0u);
     }
@@ -97,7 +165,7 @@ TEST(PmController, BufferedDesignsDropWritebacks)
 TEST(PmController, PmemSpecWritebackFeedsSpecBuffer)
 {
     Harness h(Design::PmemSpec);
-    h.pmc.writeBack(0x1000, [] {});
+    h.pmc.writeBack(0x1000);
     EXPECT_EQ(h.pmc.droppedWritebacks.value(), 1u);
     EXPECT_EQ(h.pmc.specBuffer().occupancy(), 1u);
     EXPECT_EQ(h.pmc.specBuffer().stateOf(0x1000),
@@ -139,8 +207,8 @@ TEST(PmController, LoadMisspecEndToEnd)
             if (k == mem::MisspecKind::LoadStale)
                 ++misspecs;
         });
-    h.pmc.writeBack(0x1000, [] {});
-    h.pmc.read(0x1000, [] {});
+    h.pmc.writeBack(0x1000);
+    h.read(0x1000, [] {});
     h.pmc.acceptPersist(0, 0x1000, std::nullopt);
     EXPECT_EQ(misspecs, 1);
     h.eq.run();
@@ -208,7 +276,7 @@ TEST(PmController, HopsBloomDelaysConflictingReads)
     // Simulate a buffered persist: the filter knows about the block.
     h.pmc.filterInsert(0x1000);
     Tick done = 0;
-    h.pmc.read(0x1000, [&] { done = h.eq.now(); });
+    h.read(0x1000, [&] { done = h.eq.now(); });
     h.eq.runUntil(nsToTicks(500));
     EXPECT_EQ(done, 0u); // postponed: true conflict
     EXPECT_EQ(h.pmc.bloomTrueHits.value(), 1u);
@@ -221,7 +289,7 @@ TEST(PmController, HopsCleanReadPaysOnlyLookup)
 {
     Harness h(Design::HOPS);
     Tick done = 0;
-    h.pmc.read(0x1000, [&] { done = h.eq.now(); });
+    h.read(0x1000, [&] { done = h.eq.now(); });
     h.eq.run();
     EXPECT_EQ(done, h.cfg.bloomLookupLatency + nsToTicks(175));
 }
@@ -230,7 +298,7 @@ TEST(PmController, NonHopsReadsSkipTheBloomFilter)
 {
     Harness h(Design::PmemSpec);
     Tick done = 0;
-    h.pmc.read(0x1000, [&] { done = h.eq.now(); });
+    h.read(0x1000, [&] { done = h.eq.now(); });
     h.eq.run();
     EXPECT_EQ(done, nsToTicks(175));
 }
