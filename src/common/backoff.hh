@@ -2,14 +2,14 @@
  * @file
  * Deterministic bounded exponential backoff.
  *
- * One policy object shared by every retry loop in the repo: the
- * persist-path and persist-buffer PMC-backpressure retries (which
- * used to carry two copy-pasted fixed-delay loops) and the service
- * harness's client-side retry policy. The schedule is pure
- * arithmetic on the attempt counter -- no randomisation -- so a
- * retry storm replays tick-identically on every run: delay(n) =
- * min(base << n, cap) for the n-th consecutive failure, reset to
- * `base` on the first success.
+ * The service harness's client-side retry policy. (The timing layer
+ * has no retry loop: agents refused by a full PM-controller queue
+ * park there and are woken when a slot frees, see
+ * mem/pm_controller.hh.) The schedule is pure arithmetic on the
+ * attempt counter -- no randomisation -- so a retry storm replays
+ * tick-identically on every run: delay(n) = min(base << n, cap) for
+ * the n-th consecutive failure, reset to `base` on the first
+ * success.
  */
 
 #ifndef PMEMSPEC_COMMON_BACKOFF_HH

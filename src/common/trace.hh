@@ -74,7 +74,7 @@ enum class EventKind : std::uint8_t
     // persist path (FlagPersistPath)
     PathSend,     ///< persist pushed onto a path FIFO (arg: occupancy)
     PathDeliver,  ///< persist accepted by the PMC (arg: occupancy)
-    PathRetry,    ///< delivery retried on PMC backpressure
+    PathRetry,    ///< delivery refused on PMC backpressure; parked
     // PM controller (FlagPmController)
     PmcWriteBack,           ///< regular-path writeback reached the PMC
     PmcRead,                ///< PM device read starts (Read input)

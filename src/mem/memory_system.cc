@@ -3,7 +3,6 @@
 #include <memory>
 
 #include "common/logging.hh"
-#include "mem/pmc_retry.hh"
 
 namespace pmemspec::mem
 {
@@ -63,9 +62,13 @@ MemorySystem::MemorySystem(sim::EventQueue &eq, StatGroup *parent,
                 paths.push_back(std::make_unique<PersistPath>(
                     eq, &stats(), c, lat, cfg.persistPathCapacity,
                     [this, lane_idx](CoreId core, Addr a,
-                                     std::optional<SpecId> s) {
-                        if (!pmcFor(a).acceptPersist(core, a, s))
+                                     std::optional<SpecId> s,
+                                     PmController::Resume resume) {
+                        PmController &pmc = pmcFor(a);
+                        if (!pmc.acceptPersist(core, a, s)) {
+                            pmc.park(a, std::move(resume));
                             return false;
+                        }
                         if (pathLanes > 1) {
                             auto &fifo = laneSeqs[lane_idx];
                             recordPersistArrival(core, fifo.front());
@@ -84,9 +87,13 @@ MemorySystem::MemorySystem(sim::EventQueue &eq, StatGroup *parent,
                 eq, &stats(), c, cfg.persistPathLatency,
                 cfg.persistBufferEntries, cfg.persistBufferDrainWidth,
                 strict, strict ? &dpoToken : nullptr,
-                [this](CoreId core, Addr a) {
-                    return pmcFor(a).acceptPersist(core, a,
-                                                   std::nullopt);
+                [this](CoreId core, Addr a,
+                       PmController::Resume resume) {
+                    PmController &pmc = pmcFor(a);
+                    if (pmc.acceptPersist(core, a, std::nullopt))
+                        return true;
+                    pmc.park(a, std::move(resume));
+                    return false;
                 }));
         }
         if (dsgn == Design::HOPS) {
@@ -364,13 +371,15 @@ MemorySystem::clwb(CoreId c, Addr addr, Done on_done)
 void
 MemorySystem::writeBackToPmc(Addr block, Done on_acked)
 {
-    if (!pmcFor(block).writeBack(block)) {
-        // IntelX86 write queue full: re-offer on the fixed writeback
-        // schedule (pmc_retry.hh).
-        scheduleInline(pmcWriteBackRetry,
-                       [this, block, cb = std::move(on_acked)]() mutable {
-                           writeBackToPmc(block, std::move(cb));
-                       });
+    PmController &pmc = pmcFor(block);
+    if (!pmc.writeBack(block)) {
+        // IntelX86 write queue full: park the re-offer at the PMC.
+        auto reoffer = [this, block, cb = std::move(on_acked)]() mutable {
+            writeBackToPmc(block, std::move(cb));
+        };
+        static_assert(
+            PmController::Resume::storesInline<decltype(reoffer)>);
+        pmc.park(block, std::move(reoffer));
         return;
     }
     if (on_acked)

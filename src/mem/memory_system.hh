@@ -175,9 +175,9 @@ class MemorySystem : public sim::SimObject
     void handleLlcEviction(const Eviction &ev);
     void invalidateOtherL1s(CoreId c, Addr block);
 
-    /** Offer a writeback to the block's PMC, re-offering it every
-     *  pmcWriteBackRetry while refused; on_acked (if set) fires one
-     *  NoC hop after acceptance. */
+    /** Offer a writeback to the block's PMC; a refused one parks its
+     *  re-offer there. on_acked (if set) fires one NoC hop after
+     *  acceptance. */
     void writeBackToPmc(Addr block, Done on_acked);
 
     /** spec-barrier over core c's lanes [lane, pathLanes). */

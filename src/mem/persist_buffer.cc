@@ -32,7 +32,8 @@ PersistBuffer::PersistBuffer(sim::EventQueue &eq, StatGroup *parent,
     stats().addCounter("depStalls", &depStalls,
                        "drain attempts blocked on a cross-thread dep");
     stats().addCounter("pathRetries", &pathRetries,
-                       "delivery retries due to PMC backpressure");
+                       "deliveries refused on PMC backpressure; "
+                       "each parks once");
     stats().addAccumulator("occupancy", &occupancyStat,
                            "buffer occupancy sampled at each append");
 }
@@ -158,15 +159,10 @@ PersistBuffer::pump()
 void
 PersistBuffer::attemptDeliver(Entry e)
 {
-    if (deliver(coreId, e.addr)) {
-        pmcBackoff.reset();
+    if (deliver(coreId, e.addr, [this, e] { attemptDeliver(e); }))
         finishOne(e);
-    } else {
-        // PMC write queue full: retry on the shared bounded-backoff
-        // schedule.
+    else
         ++pathRetries;
-        schedule(After{pmcBackoff.next()}, [this, e] { attemptDeliver(e); });
-    }
 }
 
 void

@@ -35,13 +35,12 @@
 #include <limits>
 #include <vector>
 
-#include "common/backoff.hh"
 #include "common/inplace_fn.hh"
 #include "common/ring_queue.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "common/waiter_list.hh"
-#include "mem/pmc_retry.hh"
+#include "mem/pm_controller.hh"
 #include "sim/sim_object.hh"
 
 namespace pmemspec::mem
@@ -82,8 +81,11 @@ struct PersistDep
 class PersistBuffer : public sim::SimObject
 {
   public:
-    /** Hands one persist to the PMC; false on backpressure. */
-    using DeliverFn = std::function<bool(CoreId, Addr)>;
+    /** Hands one persist to the PMC; false on backpressure, after
+     *  parking the given resume at the PMC, which runs it when the
+     *  entry may re-offer. */
+    using DeliverFn =
+        std::function<bool(CoreId, Addr, PmController::Resume)>;
     /** Bloom-filter maintenance hooks (HOPS keeps the PMC filter in
      *  sync with buffer contents). */
     using FilterHook = std::function<void(Addr)>;
@@ -143,8 +145,8 @@ class PersistBuffer : public sim::SimObject
     Counter persistsDone;
     Counter ofences;
     Counter depStalls;
-    /** Delivery retries due to PMC backpressure (stat "pathRetries",
-     *  shared naming with PersistPath). */
+    /** Deliveries refused on PMC backpressure; each parks its entry
+     *  once (stat "pathRetries", shared naming with PersistPath). */
     Counter pathRetries;
     Accumulator occupancyStat;
 
@@ -166,8 +168,6 @@ class PersistBuffer : public sim::SimObject
     unsigned drainWidth;
     bool strictFifo;
     GlobalDrainToken *globalToken;
-    /** PMC-backpressure retry schedule (shared policy, pmc_retry.hh). */
-    BoundedBackoff pmcBackoff = pmcRetryBackoff();
     DeliverFn deliver;
     FilterHook filterInsert;
     FilterHook filterRemove;

@@ -23,7 +23,8 @@ PersistPath::PersistPath(sim::EventQueue &eq, StatGroup *parent,
     stats().addCounter("deliveries", &deliveries,
                        "persists accepted by the PMC");
     stats().addCounter("pathRetries", &pathRetries,
-                       "delivery retries due to PMC backpressure");
+                       "deliveries refused on PMC backpressure; "
+                       "each parks once");
     stats().addAccumulator("occupancy", &occupancyStat,
                            "FIFO occupancy sampled at each send");
     stats().addHistogram("occupancyDist", &occupancyHist,
@@ -50,8 +51,8 @@ PersistPath::send(Addr block_addr, std::optional<SpecId> spec_id)
                    curTick(), coreId, block_addr,
                    {.specId = spec_id ? *spec_id : trace::kNoSpecId,
                     .arg = fifo.size(), .unit = traceUnit});
-    if (!pumpScheduled) {
-        pumpScheduled = true;
+    if (!armed) {
+        armed = true;
         schedule(After{arrival - curTick()}, [this] { pump(); });
     }
 }
@@ -59,50 +60,33 @@ PersistPath::send(Addr block_addr, std::optional<SpecId> spec_id)
 void
 PersistPath::pump()
 {
-    pumpScheduled = false;
-    if (fifo.empty())
-        return;
-
+    // Runs at the head's arrival, or when the PMC resumes it.
+    panic_if(fifo.empty(), "persist path pumped while empty");
     Flit &head = fifo.front();
-    if (head.readyAt > curTick()) {
-        pumpScheduled = true;
-        schedule(After{head.readyAt - curTick()}, [this] { pump(); });
-        return;
-    }
-
-    if (deliver(coreId, head.addr, head.specId)) {
-        ++deliveries;
-        pmcBackoff.reset();
-        PMEMSPEC_TRACE(traceMgr, FlagPersistPath,
-                       trace::EventKind::PathDeliver, curTick(), coreId,
-                       head.addr,
-                       {.specId = head.specId ? *head.specId
-                                              : trace::kNoSpecId,
-                        .arg = fifo.size() - 1, .unit = traceUnit});
-        fifo.pop_front();
-        drainWaiters();
-        if (!fifo.empty()) {
-            pumpScheduled = true;
-            Tick delay = fifo.front().readyAt > curTick()
-                             ? fifo.front().readyAt - curTick()
-                             : 0;
-            schedule(After{delay}, [this] { pump(); });
-        }
-    } else {
-        // PMC write queue full: retry on the shared bounded-backoff
-        // schedule, preserving order.
+    if (!deliver(coreId, head.addr, head.specId, [this] { pump(); })) {
+        // PMC write queue full: parked there, the chain stays armed.
         ++pathRetries;
         PMEMSPEC_TRACE(traceMgr, FlagPersistPath,
                        trace::EventKind::PathRetry, curTick(), coreId,
                        head.addr, {.unit = traceUnit});
-        pumpScheduled = true;
-        schedule(After{pmcBackoff.next()}, [this] { pump(); });
+        return;
     }
-}
-
-void
-PersistPath::drainWaiters()
-{
+    ++deliveries;
+    PMEMSPEC_TRACE(traceMgr, FlagPersistPath,
+                   trace::EventKind::PathDeliver, curTick(), coreId,
+                   head.addr,
+                   {.specId = head.specId ? *head.specId
+                                          : trace::kNoSpecId,
+                    .arg = fifo.size() - 1, .unit = traceUnit});
+    fifo.pop_front();
+    // Re-arm before waking waiters: a parked store that sends now
+    // must join this chain, not start a second one.
+    armed = !fifo.empty();
+    if (armed) {
+        const Tick ready = fifo.front().readyAt;
+        schedule(After{ready > curTick() ? ready - curTick() : 0},
+                 [this] { pump(); });
+    }
     if (fifo.empty())
         emptyWaiters.runAll();
     if (!full())

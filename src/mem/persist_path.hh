@@ -18,14 +18,13 @@
 #include <functional>
 #include <optional>
 
-#include "common/backoff.hh"
 #include "common/inplace_fn.hh"
 #include "common/ring_queue.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
 #include "common/types.hh"
 #include "common/waiter_list.hh"
-#include "mem/pmc_retry.hh"
+#include "mem/pm_controller.hh"
 #include "sim/sim_object.hh"
 
 namespace pmemspec::mem
@@ -53,12 +52,12 @@ class PersistPath : public sim::SimObject
 {
   public:
     /**
-     * Delivery hook into the PM controller: attempts to hand one
-     * persist over. Returns false when the PMC write queue is full;
-     * the path then retries, preserving FIFO order.
+     * Delivery hook into the PM controller: attempts to hand the FIFO
+     * head over. Returns false when the PMC write queue is full, after
+     * parking the given resume there; the PMC runs it to re-offer.
      */
-    using DeliverFn =
-        std::function<bool(CoreId, Addr, std::optional<SpecId>)>;
+    using DeliverFn = std::function<bool(
+        CoreId, Addr, std::optional<SpecId>, PmController::Resume)>;
 
     /**
      * Fault-injection hook: extra in-flight latency for a given block
@@ -113,8 +112,8 @@ class PersistPath : public sim::SimObject
 
     Counter sends;
     Counter deliveries;
-    /** Delivery retries due to PMC backpressure (stat "pathRetries",
-     *  shared naming with PersistBuffer). */
+    /** Deliveries refused on PMC backpressure; each parks the path
+     *  once (stat "pathRetries", shared naming with PersistBuffer). */
     Counter pathRetries;
     Accumulator occupancyStat;
     /** FIFO occupancy distribution, sampled at each send (fig12). */
@@ -128,21 +127,20 @@ class PersistPath : public sim::SimObject
         Tick readyAt = 0; ///< earliest tick it may reach the PMC
     };
 
-    /** Try to deliver the FIFO head; reschedules itself as needed. */
+    /** Deliver the ready FIFO head, then re-arm for the next one;
+     *  on refusal the head parks at the PMC. */
     void pump();
-
-    void drainWaiters();
 
     CoreId coreId;
     Tick pathLatency;
     unsigned fifoCapacity;
-    /** PMC-backpressure retry schedule (shared policy, backoff.hh). */
-    BoundedBackoff pmcBackoff = pmcRetryBackoff();
     DeliverFn deliver;
     DelayHook delayHook;
     RingQueue<Flit> fifo;
     Tick lastArrival = 0;
-    bool pumpScheduled = false;
+    /** True while the FIFO is non-empty: one pump() is scheduled or
+     *  parked at the PMC. */
+    bool armed = false;
     WaiterList<Waiter> emptyWaiters;
     WaiterList<Waiter> spaceWaiters;
 

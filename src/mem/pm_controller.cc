@@ -1,7 +1,6 @@
 #include "pm_controller.hh"
 
 #include "common/logging.hh"
-#include "mem/pmc_retry.hh"
 
 namespace pmemspec::mem
 {
@@ -30,7 +29,8 @@ PmController::PmController(sim::EventQueue &eq, StatGroup *parent,
     stats().addCounter("persistsAccepted", &persistsAccepted,
                        "persists accepted into the ADR domain");
     stats().addCounter("persistsRefused", &persistsRefused,
-                       "persists refused on a full write queue");
+                       "persists refused on a full write queue; "
+                       "each refused agent parks once");
     stats().addCounter("bloomTrueHits", &bloomTrueHits,
                        "PM reads delayed on a real buffer conflict");
     stats().addCounter("bloomFalsePositives", &bloomFalsePositives,
@@ -71,9 +71,8 @@ void
 PmController::serviceRead(PendingRead r)
 {
     if (outstandingReads >= cfg.pmcReadQueue) {
-        // Read queue full: poll again on the fixed read-queue
-        // schedule (pmc_retry.hh).
-        schedule(After{pmcReadQueueRetry}, [this, r] { serviceRead(r); });
+        // Read queue full: wait for the next fill, in arrival order.
+        waitingReads.push_back(r);
         return;
     }
     ++outstandingReads;
@@ -93,6 +92,12 @@ PmController::serviceRead(PendingRead r)
         --outstandingReads;
         readLatencyStat.sample(
             static_cast<double>(curTick() - r.enq) / ticksPerNs);
+        // The freed slot goes to the oldest waiting read first.
+        if (!waitingReads.empty()) {
+            const PendingRead next = waitingReads.front();
+            waitingReads.pop_front();
+            serviceRead(next);
+        }
         finishRead(r);
     };
     static_assert(sim::EventQueue::storesInline<decltype(fill)>);
@@ -216,7 +221,35 @@ PmController::serviceWrite(Addr block_addr)
     schedule(After{done - curTick()}, [this] {
         panic_if(writeQueue == 0, "write queue underflow");
         --writeQueue;
+        resumeParked();
     });
+}
+
+void
+PmController::park(Addr block_addr, Resume resume)
+{
+    parked.push_back(Parked{block_addr, std::move(resume)});
+}
+
+void
+PmController::resumeParked()
+{
+    while (!parked.empty() && writeQueue < cfg.pmcWriteQueue) {
+        Parked head = std::move(parked.front());
+        parked.pop_front();
+        head.resume();
+        // A full queue admits a block only through a woken agent. Once
+        // its re-offer has returned (spec-buffer input and spec-ID
+        // check done), the agents parked on that block coalesce.
+        for (std::size_t n = parked.size(); n > 0; --n) {
+            Parked p = std::move(parked.front());
+            parked.pop_front();
+            if (p.block == head.block && blocks.coalescable(p.block))
+                p.resume();
+            else
+                parked.push_back(std::move(p));
+        }
+    }
 }
 
 bool

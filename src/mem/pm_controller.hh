@@ -16,6 +16,10 @@
  *    the speculation buffer as WriteBack inputs; persists arriving on
  *    the decoupled paths enter the write queue and feed the Persist
  *    input; PM reads feed the Read input.
+ *
+ * Backpressure never polls: a refused persist or writeback parks its
+ * re-offer (park()) and a read facing a full read queue waits, each
+ * woken inside the retirement or fill that frees its slot.
  */
 
 #ifndef PMEMSPEC_MEM_PM_CONTROLLER_HH
@@ -26,6 +30,7 @@
 
 #include "common/bloom_filter.hh"
 #include "common/inplace_fn.hh"
+#include "common/ring_queue.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/block_table.hh"
@@ -115,16 +120,25 @@ class PmController : public sim::SimObject
      *         domain (always, for designs that drop it -- the flush is
      *         then trivially "complete"); false when the IntelX86
      *         write queue is full, in which case nothing happened and
-     *         the caller polls again after pmcWriteBackRetry.
+     *         the caller parks its re-offer (park()).
      */
     bool writeBack(Addr block_addr);
 
     /**
      * A persist arrives from a persist-path or persist buffer.
-     * @return false when the write queue is full (backpressure).
+     * @return false when the write queue is full; the caller parks.
      */
     bool acceptPersist(CoreId core, Addr block_addr,
                        std::optional<SpecId> spec_id);
+
+    /** A refused agent's re-offer; sized for the memory system's
+     *  writeback re-offer, which carries the CLWB ack. */
+    using Resume = InplaceFn<void(), 48>;
+
+    /** Park a refused agent, once per refusal. `resume` runs once:
+     *  FIFO as write-queue slots retire, or as soon as `block_addr`
+     *  enters the queue (the re-offer then coalesces). */
+    void park(Addr block_addr, Resume resume);
 
     /** HOPS: keep the PMC bloom filter in sync with buffer contents. */
     void filterInsert(Addr block_addr);
@@ -143,6 +157,7 @@ class PmController : public sim::SimObject
     {
         return static_cast<unsigned>(writeQueue);
     }
+    std::size_t parkedAgents() const { return parked.size(); }
 
     Counter reads;
     Counter writes;
@@ -181,6 +196,10 @@ class PmController : public sim::SimObject
     /** Push one write into the banked device. */
     void serviceWrite(Addr block_addr);
 
+    /** A write-queue slot retired: re-offer parked agents, oldest
+     *  first, while slots are free. */
+    void resumeParked();
+
     Tick &bankFree(Addr block_addr);
 
     const MemConfig cfg;
@@ -190,6 +209,17 @@ class PmController : public sim::SimObject
     Tick writeServerFree = 0; ///< aggregate write-bandwidth server
     unsigned outstandingReads = 0;
     unsigned writeQueue = 0;
+
+    /** Reads waiting for a read-queue slot, served by the next fill. */
+    RingQueue<PendingRead> waitingReads;
+
+    /** Refused agents, oldest first, with the block each offered. */
+    struct Parked
+    {
+        Addr block = 0;
+        Resume resume;
+    };
+    RingQueue<Parked> parked;
 
     /**
      * All per-block controller state -- write-queue coalescability

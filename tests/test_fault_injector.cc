@@ -355,7 +355,8 @@ TEST(FaultInjector, PersistPathDelayHookPostponesArrival)
     std::vector<std::pair<Addr, Tick>> delivered;
     mem::PersistPath path(
         eq, &stats, 0, nsToTicks(20), 8,
-        [&](CoreId, Addr a, std::optional<SpecId>) {
+        [&](CoreId, Addr a, std::optional<SpecId>,
+            mem::PmController::Resume) {
             delivered.emplace_back(a, eq.now());
             return true;
         });

@@ -27,12 +27,15 @@ struct Delivery
     Tick at;
 };
 
+/** A fake PMC: while `accept` is false it refuses and keeps each
+ *  refused entry's resume parked until release(). */
 struct Harness
 {
     EventQueue eq;
     StatGroup stats{"test"};
     std::vector<Delivery> delivered;
     bool accept = true;
+    std::vector<mem::PmController::Resume> parked;
     GlobalDrainToken token;
 
     PersistBuffer
@@ -41,12 +44,26 @@ struct Harness
     {
         return PersistBuffer(
             eq, &stats, core, nsToTicks(20), capacity, width, strict,
-            strict ? &token : nullptr, [this](CoreId c, Addr a) {
-                if (!accept)
+            strict ? &token : nullptr,
+            [this](CoreId c, Addr a, mem::PmController::Resume resume) {
+                if (!accept) {
+                    parked.push_back(std::move(resume));
                     return false;
+                }
                 delivered.push_back(Delivery{c, a, eq.now()});
                 return true;
             });
+    }
+
+    /** Start accepting and resume every parked entry, oldest first. */
+    void
+    release()
+    {
+        accept = true;
+        auto batch = std::move(parked);
+        parked.clear();
+        for (auto &r : batch)
+            r();
     }
 };
 
@@ -169,9 +186,14 @@ TEST(PersistBuffer, FullAndBackpressure)
     buf.notifyWhenNotFull([&] { spaced = true; });
     h.eq.runUntil(nsToTicks(100));
     EXPECT_FALSE(spaced);
-    h.accept = true;
+    // The in-flight entry was refused once and waits parked.
+    EXPECT_EQ(buf.pathRetries.value(), 1u);
+    EXPECT_EQ(h.parked.size(), 1u);
+    EXPECT_TRUE(h.eq.empty());
+    h.release();
     h.eq.run();
     EXPECT_TRUE(spaced);
+    EXPECT_EQ(h.delivered.size(), 2u);
 }
 
 TEST(PersistBuffer, AppendWhileFullPanics)
@@ -181,7 +203,7 @@ TEST(PersistBuffer, AppendWhileFullPanics)
     auto buf = h.make(0, 1);
     buf.append(0x1000);
     EXPECT_DEATH(buf.append(0x2000), "overflow");
-    h.accept = true;
+    h.release();
     h.eq.run();
 }
 
@@ -212,8 +234,9 @@ TEST(PersistBuffer, DependencyBlocksDrainUntilSatisfied)
     h.eq.runUntil(nsToTicks(200));
     EXPECT_TRUE(h.delivered.empty());
     EXPECT_GT(acquirer.depStalls.value(), 0u);
+    EXPECT_EQ(h.parked.size(), 1u); // only the releaser's entry
 
-    h.accept = true;
+    h.release();
     h.eq.run();
     ASSERT_EQ(h.delivered.size(), 2u);
     EXPECT_EQ(h.delivered[0].addr, 0x1000u); // releaser persisted first

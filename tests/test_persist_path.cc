@@ -27,23 +27,40 @@ struct Delivery
     Tick at;
 };
 
+/** A fake PMC: while `accept` is false it refuses and keeps the
+ *  path's resume parked until release(). */
 struct Harness
 {
     EventQueue eq;
     StatGroup stats{"test"};
     std::vector<Delivery> delivered;
     bool accept = true;
+    std::vector<mem::PmController::Resume> parked;
     PersistPath path;
 
     explicit Harness(Tick latency = nsToTicks(20), unsigned cap = 4)
         : path(eq, &stats, 0, latency, cap,
-               [this](CoreId, Addr a, std::optional<SpecId> s) {
-                   if (!accept)
+               [this](CoreId, Addr a, std::optional<SpecId> s,
+                      mem::PmController::Resume resume) {
+                   if (!accept) {
+                       parked.push_back(std::move(resume));
                        return false;
+                   }
                    delivered.push_back(Delivery{a, s, eq.now()});
                    return true;
                })
     {
+    }
+
+    /** Start accepting and resume every parked agent, oldest first. */
+    void
+    release()
+    {
+        accept = true;
+        auto batch = std::move(parked);
+        parked.clear();
+        for (auto &r : batch)
+            r();
     }
 };
 
@@ -124,10 +141,14 @@ TEST(PersistPath, RetriesOnPmcBackpressure)
     h.path.send(0x1000, std::nullopt);
     h.eq.runUntil(nsToTicks(100));
     EXPECT_TRUE(h.delivered.empty());
-    EXPECT_GT(h.path.pathRetries.value(), 0u);
-    h.accept = true;
+    // Refused once and parked once; nothing polls the PMC meanwhile.
+    EXPECT_EQ(h.path.pathRetries.value(), 1u);
+    EXPECT_EQ(h.parked.size(), 1u);
+    EXPECT_TRUE(h.eq.empty());
+    h.release();
     h.eq.run();
     ASSERT_EQ(h.delivered.size(), 1u);
+    EXPECT_EQ(h.delivered[0].at, nsToTicks(100)); // at the resume
     EXPECT_EQ(h.path.deliveries.value(), 1u);
 }
 
@@ -138,11 +159,46 @@ TEST(PersistPath, OrderSurvivesBackpressure)
     h.path.send(0x1000, std::nullopt);
     h.path.send(0x2000, std::nullopt);
     h.eq.runUntil(nsToTicks(200));
-    h.accept = true;
+    EXPECT_EQ(h.parked.size(), 1u); // only the head parks
+    h.release();
     h.eq.run();
     ASSERT_EQ(h.delivered.size(), 2u);
     EXPECT_EQ(h.delivered[0].addr, 0x1000u);
     EXPECT_EQ(h.delivered[1].addr, 0x2000u);
+    EXPECT_EQ(h.path.pathRetries.value(), 1u);
+}
+
+TEST(PersistPath, SendWhileParkedJoinsTheParkedChain)
+{
+    Harness h;
+    h.accept = false;
+    h.path.send(0x1000, std::nullopt);
+    h.eq.runUntil(nsToTicks(100));
+    ASSERT_EQ(h.parked.size(), 1u);
+    // The head is parked at the PMC: a new send must not start a
+    // second delivery chain.
+    h.path.send(0x2000, std::nullopt);
+    EXPECT_TRUE(h.eq.empty());
+    h.release();
+    h.eq.run();
+    ASSERT_EQ(h.delivered.size(), 2u);
+    EXPECT_EQ(h.delivered[0].addr, 0x1000u);
+    EXPECT_EQ(h.delivered[1].addr, 0x2000u);
+    EXPECT_EQ(h.path.pathRetries.value(), 1u);
+}
+
+TEST(PersistPath, StoreWokenByDeliveryKeepsOnePumpChain)
+{
+    // A store parked on a full path sends from inside the delivery
+    // that freed its slot. It must join the running pump chain: one
+    // pump event per flit, not a second chain.
+    Harness h(nsToTicks(20), 1);
+    h.path.send(0x1000, std::nullopt);
+    h.path.notifyWhenNotFull([&] { h.path.send(0x2000, std::nullopt); });
+    h.eq.run();
+    ASSERT_EQ(h.delivered.size(), 2u);
+    EXPECT_EQ(h.delivered[1].at, nsToTicks(40));
+    EXPECT_EQ(h.eq.executed(), 2u);
 }
 
 TEST(PersistPath, NotifyWhenEmptyFiresImmediatelyIfIdle)

@@ -10,6 +10,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "mem/pm_controller.hh"
@@ -194,6 +195,135 @@ TEST(PmController, WriteQueueFullRefusesPersists)
     EXPECT_EQ(h.pmc.persistsRefused.value(), 1u);
     h.eq.run(); // queue drains
     EXPECT_TRUE(h.pmc.acceptPersist(0, 2 * 64, std::nullopt));
+}
+
+namespace
+{
+
+/** One-slot write queue on a one-bank device: every write holds the
+ *  queue for exactly one device write time (94ns). */
+MemConfig
+oneSlotWriteQueue()
+{
+    MemConfig cfg;
+    cfg.pmcWriteQueue = 1;
+    cfg.pmBanks = 1;
+    return cfg;
+}
+
+/** Offer a persist the way a persist agent does: on refusal, park a
+ *  re-offer that logs (tag, tick) once it is accepted. */
+void
+offerPersist(Harness &h, Addr block, std::optional<SpecId> spec, int tag,
+             std::vector<std::pair<int, Tick>> &log)
+{
+    if (h.pmc.acceptPersist(0, block, spec)) {
+        log.emplace_back(tag, h.eq.now());
+        return;
+    }
+    h.pmc.park(block, [&h, block, spec, tag, &log] {
+        offerPersist(h, block, spec, tag, log);
+    });
+}
+
+} // namespace
+
+TEST(PmController, ParkedPersistAcceptedAtRetirementTick)
+{
+    Harness h(Design::PmemSpec, oneSlotWriteQueue());
+    std::vector<std::pair<int, Tick>> log;
+    offerPersist(h, 0 * 64, std::nullopt, 0, log);
+    offerPersist(h, 1 * 64, std::nullopt, 1, log);
+    EXPECT_EQ(h.pmc.persistsRefused.value(), 1u);
+    EXPECT_EQ(h.pmc.parkedAgents(), 1u);
+    h.eq.run();
+    // Accepted inside the event that retires the first write: no
+    // poll, no delay past the retirement tick.
+    using Log = std::vector<std::pair<int, Tick>>;
+    EXPECT_EQ(log, (Log{{0, 0}, {1, nsToTicks(94)}}));
+    EXPECT_EQ(h.pmc.parkedAgents(), 0u);
+    EXPECT_EQ(h.pmc.persistsRefused.value(), 1u); // parked once
+    EXPECT_EQ(h.pmc.persistsAccepted.value(), 2u);
+}
+
+TEST(PmController, ParkedAgentsAreServedFifo)
+{
+    Harness h(Design::PmemSpec, oneSlotWriteQueue());
+    std::vector<std::pair<int, Tick>> log;
+    for (int i = 0; i < 4; ++i)
+        offerPersist(h, static_cast<Addr>(i * 64), std::nullopt, i, log);
+    EXPECT_EQ(h.pmc.parkedAgents(), 3u);
+    h.eq.run();
+    using Log = std::vector<std::pair<int, Tick>>;
+    EXPECT_EQ(log, (Log{{0, 0},
+                        {1, nsToTicks(94)},
+                        {2, nsToTicks(188)},
+                        {3, nsToTicks(282)}}));
+    EXPECT_EQ(h.pmc.persistsRefused.value(), 3u);
+}
+
+TEST(PmController, ParkedHeadCoalescesWhenItsBlockEnters)
+{
+    Harness h(Design::PmemSpec, oneSlotWriteQueue());
+    int misspecs = 0;
+    h.pmc.specBuffer().setMisspecCallback(
+        [&](Addr, mem::MisspecKind) { ++misspecs; });
+    std::vector<std::pair<int, Tick>> log;
+    offerPersist(h, 0x1000, std::nullopt, 0, log);
+    // Parked in this order: B (spec 3), C, then B again (spec 5).
+    offerPersist(h, 0x2000, SpecId{3}, 1, log);
+    offerPersist(h, 0x3000, std::nullopt, 2, log);
+    offerPersist(h, 0x2000, SpecId{5}, 3, log);
+    h.eq.run();
+    // When the first B enters the queue the second B coalesces at
+    // once, ahead of C, which waits for the next free slot.
+    using Log = std::vector<std::pair<int, Tick>>;
+    EXPECT_EQ(log, (Log{{0, 0},
+                        {1, nsToTicks(94)},
+                        {3, nsToTicks(94)},
+                        {2, nsToTicks(188)}}));
+    EXPECT_EQ(h.pmc.writeCoalesces.value(), 1u);
+    EXPECT_EQ(h.pmc.writes.value(), 3u);
+    // The coalesced persist is checked after the one it merged into:
+    // spec IDs 3 then 5 are in order, so no store misspeculation.
+    EXPECT_EQ(misspecs, 0);
+}
+
+TEST(PmController, RefusedIntelWritebackResumes)
+{
+    Harness h(Design::IntelX86, oneSlotWriteQueue());
+    ASSERT_TRUE(h.pmc.writeBack(0x1000));
+    ASSERT_FALSE(h.pmc.writeBack(0x2000));
+    Tick accepted_at = 0;
+    h.pmc.park(0x2000, [&] {
+        accepted_at = h.eq.now();
+        EXPECT_TRUE(h.pmc.writeBack(0x2000));
+    });
+    h.eq.run();
+    EXPECT_EQ(accepted_at, nsToTicks(94));
+    EXPECT_EQ(h.pmc.writes.value(), 2u);
+    EXPECT_EQ(h.pmc.writeQueueOccupancy(), 0u);
+}
+
+TEST(PmController, ReadQueueFullReadsAreServedFifo)
+{
+    MemConfig cfg;
+    cfg.pmcReadQueue = 1;
+    Harness h(Design::IntelX86, cfg);
+    std::vector<std::pair<int, Tick>> log;
+    // Distinct banks: only the one-entry read queue serialises them.
+    for (int i = 0; i < 4; ++i)
+        h.read(static_cast<Addr>(i * 64),
+               [&log, &h, i] { log.emplace_back(i, h.eq.now()); });
+    EXPECT_EQ(h.pmc.readQueueOccupancy(), 1u);
+    h.eq.run();
+    // Each waiting read issues at the fill that frees the slot.
+    using Log = std::vector<std::pair<int, Tick>>;
+    EXPECT_EQ(log, (Log{{0, nsToTicks(175)},
+                        {1, nsToTicks(350)},
+                        {2, nsToTicks(525)},
+                        {3, nsToTicks(700)}}));
+    EXPECT_EQ(h.pmc.reads.value(), 4u);
 }
 
 TEST(PmController, LoadMisspecEndToEnd)
