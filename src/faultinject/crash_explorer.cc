@@ -27,7 +27,7 @@ namespace
 constexpr std::size_t maxPrefixesPerOp = std::size_t{1} << 14;
 
 std::string
-hexMask(std::uint64_t m)
+hex(std::uint64_t m)
 {
     char buf[24];
     std::snprintf(buf, sizeof(buf), "0x%llx",
@@ -40,53 +40,37 @@ hexMask(std::uint64_t m)
 constexpr unsigned tornExhaustiveBits = 4;
 
 /**
- * Never fires; records what the reference (uninterrupted) execution
- * persists. Reorder mode needs two things from that run:
- *
- *  - the full tagged persist stream (addr, bytes, ordering tag),
- *    copied off the in-flight queue as each write is observed. A
- *    FASE is deterministic given the PM state and every crash trial
- *    of the operation re-runs it from the identical restored state,
- *    so stream entries [k, k+depth) are exactly the speculation
- *    window a cut at prefix k interrupted -- including the entries
- *    the armed trial never got to issue because its plan fired the
- *    moment write k+1 was queued;
- *  - the dirty-block set: the only blocks any trial state of this
- *    operation can differ in (recovery writes only the logged data
- *    blocks and the log region, all touched here), which makes
- *    per-state rewind, digest and oracle compares proportional to
- *    the working set instead of the PM size.
+ * Never fires; records the reference (uninterrupted) execution's full
+ * tagged persist stream (addr, bytes, ordering tag), copied off the
+ * in-flight queue as each write is observed. A FASE is deterministic
+ * given the PM state and every crash trial of the operation re-runs
+ * it from the identical restored state, so stream entries
+ * [k, k+depth) are exactly the speculation window a cut at prefix k
+ * interrupted -- including the entries the armed trial never got to
+ * issue because its plan fired the moment write k+1 was queued.
  */
 class RecordingPlan : public FaultPlan
 {
   public:
     RecordingPlan(const runtime::PersistentMemory &pm,
-                  std::vector<runtime::PersistentMemory::Pending> &stream,
-                  std::set<Addr> &blocks)
-        : pm(pm), stream(stream), blocks(blocks)
+                  std::vector<runtime::PersistentMemory::Pending> &stream)
+        : pm(pm), stream(stream)
     {
     }
 
     std::optional<FaultAction>
     onAccess(const AccessInfo &info) override
     {
-        if (info.op == runtime::MemOp::Write && info.bytes > 0) {
-            // The observer runs right after the store was queued, so
-            // the youngest in-flight entry is this write, tags and
-            // all.
+        // The observer runs right after the store was queued, so the
+        // youngest in-flight entry is this write, tags and all.
+        if (info.op == runtime::MemOp::Write && info.bytes > 0)
             stream.push_back(pm.pendingEntry(pm.inFlightCount() - 1));
-            const Addr last = info.addr + info.bytes - 1;
-            for (Addr b = blockAlign(info.addr); b <= blockAlign(last);
-                 b += blockBytes)
-                blocks.insert(b);
-        }
         return std::nullopt;
     }
 
   private:
     const runtime::PersistentMemory &pm;
     std::vector<runtime::PersistentMemory::Pending> &stream;
-    std::set<Addr> &blocks;
 };
 
 /**
@@ -99,7 +83,9 @@ class RecordingPlan : public FaultPlan
  * The state-equivalence contract between the two primitives:
  * exploreOp()'s terminating trial is restore(pre) -> recoverAll ->
  * persistAll -> runFase (committed) -> applyToModel -> persistAll,
- * and commitOp() replays exactly that sequence (the armed
+ * where `pre` was snapshotted right after a persistAll, so the
+ * restore is an identity on the state commitOp() starts from.
+ * commitOp() replays the rest of that sequence (the armed
  * PowerCutPlan of the trial never fires on the committed run and
  * plans only observe, so omitting it cannot change a byte). Hence
  * commitOp(0..op-1) and exploreOp(0..op-1) leave identical PM images
@@ -131,8 +117,6 @@ class OpExplorer
     commitOp(std::size_t op)
     {
         pm.persistAll();
-        const auto pre = pm.snapshot();
-        pm.restore(pre);
         rt.recoverAll();
         pm.persistAll();
         inj.clearPlans();
@@ -175,6 +159,9 @@ class OpExplorer
     FaultInjector inj;
     unsigned windowDepth;
     ReorderConfig rcfg;
+    /** The operation's start state: the PM's tracking base, re-taken
+     *  in place from the changed blocks at each operation. */
+    runtime::PersistentMemory::Snapshot pre;
 };
 
 void
@@ -182,72 +169,63 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
 {
     ++frag.ops;
     pm.persistAll();
-    const auto pre = pm.snapshot();
+    pm.snapshot(pre);
+    // From here on the state work is the same for the sequential and
+    // the parallel explorer: both now have `pre` as their base. Only
+    // taking `pre` depends on the replica's history.
+    const std::uint64_t work0 = pm.blockWork();
 
     // Reference committed image: the commit record is not the
     // FASE's last persist (tombstones trail it), so a crash can
     // land *past* the durable commit point. Recovery then keeps
     // the new state -- the "all" of all-or-nothing -- and the
     // oracle must recognise it. Run the op once uninterrupted to
-    // learn what that state looks like, then rewind. In reorder
-    // mode the same run also records the operation's dirty-block
-    // set: recovery only ever writes the logged data blocks and
-    // the log region, both of which this run touches, so every
-    // trial state of this op agrees with `pre` outside it.
-    std::set<Addr> dirtySet;
+    // learn what that state looks like, then rewind. The blocks
+    // this run changed are the operation's dirty set: recovery only
+    // ever writes the logged data blocks and the log region, both
+    // of which this run touches, so every trial state of this op
+    // should agree with `pre` outside it. The block rewind and the
+    // digest below rely on that, so every trial checks it.
     std::vector<runtime::PersistentMemory::Pending> refStream;
     inj.clearPlans();
     if (opts.reorderings)
-        inj.addPlan(std::make_unique<RecordingPlan>(pm, refStream,
-                                                    dirtySet));
+        inj.addPlan(std::make_unique<RecordingPlan>(pm, refStream));
     rt.runFase(0,
                [&](runtime::Transaction &tx) { wl.runOp(tx, op); });
     pm.persistAll();
-    const std::vector<std::uint8_t> post_image(
-        pm.persistedImage(), pm.persistedImage() + pm.size());
+    std::vector<Addr> dirty = pm.changedBlocks();
+    std::sort(dirty.begin(), dirty.end());
+    runtime::PersistentMemory::BlockSnapshot post;
+    pm.snapshotBlocks(dirty, post);
     pm.restore(pre);
     rt.recoverAll();
     pm.persistAll();
     inj.clearPlans();
-    const std::vector<Addr> dirty(dirtySet.begin(), dirtySet.end());
 
     // After recovery the two images must agree once in-flight
     // persists drain: recovery may not leave state that exists only
     // in the "caches".
     auto converged = [&] {
         pm.persistAll();
-        return std::memcmp(pm.volatileImage(), pm.persistedImage(),
-                           pm.size()) == 0;
+        return pm.imagesAgree();
     };
 
     auto committedDurably = [&] {
         pm.persistAll();
-        return std::memcmp(pm.persistedImage(), post_image.data(),
-                           pm.size()) == 0;
+        return pm.persistedEquals(pre, post);
     };
 
-    // Dirty-restricted oracle compares for reorder trials: the
-    // images agree with the reference outside the dirty blocks
-    // by construction, so block-limited equality is exact and
-    // orders of magnitude cheaper than whole-image memcmp.
-    auto committedDurablyDirty = [&] {
-        pm.persistAll();
-        for (Addr b : dirty) {
-            if (std::memcmp(pm.persistedImage() + b,
-                            post_image.data() + b, blockBytes) != 0)
-                return false;
+    // The dirty-set claim, checked after each trial's recovery.
+    auto checkDirtySet = [&](std::size_t k, const std::string &ctx) {
+        for (Addr b : pm.changedBlocks()) {
+            if (!std::binary_search(dirty.begin(), dirty.end(), b)) {
+                fail(frag, op, k,
+                     ("recovery changed block " + hex(b) +
+                      " outside the operation's dirty set" + ctx)
+                         .c_str());
+                return;
+            }
         }
-        return true;
-    };
-    auto convergedDirty = [&] {
-        pm.persistAll();
-        for (Addr b : dirty) {
-            if (std::memcmp(pm.volatileImage() + b,
-                            pm.persistedImage() + b,
-                            blockBytes) != 0)
-                return false;
-        }
-        return true;
     };
 
     // Reduction (c)'s digest: CRC-32C over the dirty blocks of
@@ -268,6 +246,9 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
     // states with equal durable images recover identically, so
     // the second is counted as deduped and skipped.
     std::set<std::uint64_t> seenDigests;
+    // The post-crash (pre-recovery) state of the dirty blocks, re-taken
+    // at each crash point: the reorder states' rewind target.
+    runtime::PersistentMemory::BlockSnapshot crashSnap;
 
     bool committed = false;
     for (std::size_t k = 0; !committed; ++k) {
@@ -309,13 +290,12 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
             // image, taken before the prefix trial's recovery
             // mutates the state.
             std::vector<runtime::PersistentMemory::Pending> window;
-            runtime::PersistentMemory::Snapshot crashSnap;
             if (opts.reorderings && k < refStream.size()) {
                 const std::size_t end = std::min<std::size_t>(
                     k + windowDepth, refStream.size());
                 window.assign(refStream.begin() + k,
                               refStream.begin() + end);
-                crashSnap = pm.snapshot();
+                pm.snapshotBlocks(dirty, crashSnap);
             }
             try {
                 rt.recoverAll();
@@ -328,6 +308,7 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
                                   "unrecoverable corruption");
                 continue;
             }
+            checkDirtySet(k, "");
             if (!wl.checkInvariants())
                 fail(frag, op, k,
                      "invariants violated after recovery");
@@ -343,9 +324,7 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
 
             if (!window.empty()) {
                 ReorderHooks hooks;
-                hooks.rewind = [&] {
-                    pm.restoreBlocks(crashSnap, dirty);
-                };
+                hooks.rewind = [&] { pm.restoreBlocks(crashSnap); };
                 hooks.isNoop =
                     [&](const runtime::PersistentMemory::Pending &p) {
                         return std::memcmp(pm.persistedImage() +
@@ -363,7 +342,7 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
                                   std::size_t applied) {
                     (void)applied;
                     const std::string ctx =
-                        " (reorder mask=" + hexMask(mask) + ")";
+                        " (reorder mask=" + hex(mask) + ")";
                     try {
                         rt.recoverAll();
                     } catch (const runtime::
@@ -382,20 +361,20 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
                                  .c_str());
                         return;
                     }
+                    checkDirtySet(k, ctx);
                     if (!wl.checkInvariants())
                         fail(frag, op, k,
                              ("invariants violated after "
                               "reordered-crash recovery" + ctx)
                                  .c_str());
-                    if (!wl.matchesModel() &&
-                        !committedDurablyDirty())
+                    if (!wl.matchesModel() && !committedDurably())
                         fail(frag, op, k,
                              ("recovered state is neither the "
                               "pre- nor the post-operation state "
                               "(atomicity under persist "
                               "reordering)" + ctx)
                                  .c_str());
-                    if (!convergedDirty())
+                    if (!converged())
                         fail(frag, op, k,
                              ("volatile/persisted images diverge "
                               "after reordered-crash recovery" +
@@ -410,10 +389,6 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
                 frag.reorderStatesDeduped += rc.statesDeduped;
                 frag.elidedPersists += rc.elidedPersists;
                 frag.orderingsCollapsed += rc.orderingsCollapsed;
-                // Leave a clean slate for the next k: the last
-                // explored state's recovery is still in the
-                // images.
-                pm.restoreBlocks(crashSnap, dirty);
             }
 
             if (!opts.tornWrites || frontier_words < 2)
@@ -447,7 +422,7 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
                 inj.clearPlans();
                 if (!cut) {
                     fail(frag, op, k,
-                         ("torn plan (mask=" + hexMask(mask) +
+                         ("torn plan (mask=" + hex(mask) +
                           ") did not fire on a re-run that "
                           "crashed before")
                              .c_str());
@@ -464,7 +439,7 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
                     continue;
                 }
                 const std::string ctx =
-                    " (torn mask=" + hexMask(mask) + ")";
+                    " (torn mask=" + hex(mask) + ")";
                 if (!wl.checkInvariants())
                     fail(frag, op, k,
                          ("invariants violated after torn-write "
@@ -495,6 +470,7 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
             fail(frag, op, frag.crashPoints,
                  "volatile/persisted images diverge after commit");
     }
+    frag.imageBlocks += pm.blockWork() - work0;
 }
 
 /** Fold per-op fragments (op order) into one ExploreResult with the
@@ -526,6 +502,7 @@ mergeFragments(std::string workload,
         res.reorderStatesDeduped += f.reorderStatesDeduped;
         res.elidedPersists += f.elidedPersists;
         res.orderingsCollapsed += f.orderingsCollapsed;
+        res.imageBlocks += f.imageBlocks;
     }
     return res;
 }

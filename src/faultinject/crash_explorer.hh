@@ -129,6 +129,21 @@ struct ExploreResult
      *  (reduction (b)). Saturating. */
     std::uint64_t orderingsCollapsed = 0;
 
+    /** 64-byte image blocks the PM copied or compared while
+     *  exploring (PersistentMemory::blockWork), counted from each
+     *  operation's start snapshot on: host-independent and the same
+     *  for any thread count. */
+    std::uint64_t imageBlocks = 0;
+
+    /** Crash states that got a rewind: prefix and torn trials plus
+     *  every reordered state enumerated (explored or deduped). */
+    std::uint64_t
+    statesVisited() const
+    {
+        return crashPoints + tornTrials + reorderStatesExplored +
+               reorderStatesDeduped;
+    }
+
     /** States a naive enumerator visits but this one never touches:
      *  the headline number of the three reductions combined. */
     std::uint64_t

@@ -1,5 +1,7 @@
 #include "persistent_memory.hh"
 
+#include <atomic>
+
 #include "common/logging.hh"
 
 namespace pmemspec::runtime
@@ -14,6 +16,15 @@ constexpr Addr
 wordAlign(Addr a)
 {
     return a & ~(wordBytes - 1);
+}
+
+/** Snapshot identities are process-unique, so a snapshot of one PM
+ *  restored into another can never pass for the receiver's base. */
+std::uint64_t
+freshSnapshotId()
+{
+    static std::atomic<std::uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 } // namespace
@@ -64,6 +75,7 @@ PersistentMemory::writeTagged(Addr a, const void *src, std::size_t n,
 {
     checkRange(a, n);
     std::memcpy(volatileImg.data() + a, src, n);
+    mark(a, n);
     // A full 8-byte overwrite of a poisoned word heals it (the
     // device remaps the line when fresh data arrives); a partial
     // overwrite leaves the word uncorrectable.
@@ -163,6 +175,7 @@ PersistentMemory::applyPending(const Pending &p)
 {
     std::memcpy(persistedImg.data() + p.addr, p.bytes.data(),
                 p.bytes.size());
+    mark(p.addr, p.bytes.size());
 }
 
 void
@@ -173,11 +186,55 @@ PersistentMemory::persistAll()
     inFlight.clear();
 }
 
-PersistentMemory::Snapshot
-PersistentMemory::snapshot() const
+void
+PersistentMemory::rebase(std::uint64_t id, bool agree)
 {
-    return Snapshot{volatileImg, persistedImg, inFlight,
-                    poisoned,    brk,          nextSpec};
+    for (Addr b : changed)
+        marked[b / blockBytes] = 0;
+    changed.clear();
+    baseId = id;
+    baseAgrees = agree;
+}
+
+PersistentMemory::Snapshot
+PersistentMemory::snapshot()
+{
+    Snapshot s;
+    snapshot(s);
+    return s;
+}
+
+void
+PersistentMemory::snapshot(Snapshot &into)
+{
+    if (tracking && into.id == baseId &&
+        into.volatileImg.size() == volatileImg.size()) {
+        // `into` holds the base: only the changed blocks moved, and
+        // only they can have broken an agreement the base had.
+        for (Addr b : changed) {
+            const std::size_t n = blockSpan(b);
+            std::memcpy(into.volatileImg.data() + b,
+                        volatileImg.data() + b, n);
+            std::memcpy(into.persistedImg.data() + b,
+                        persistedImg.data() + b, n);
+        }
+        work += 2 * changed.size();
+    } else {
+        into.volatileImg = volatileImg;
+        into.persistedImg = persistedImg;
+        work += 2 * numBlocks();
+    }
+    into.imagesAgree = imagesAgree();
+    into.inFlight = inFlight;
+    into.poisoned = poisoned;
+    into.brk = brk;
+    into.nextSpec = nextSpec;
+    into.id = freshSnapshotId();
+    if (!tracking) {
+        tracking = true;
+        marked.assign(numBlocks(), 0);
+    }
+    rebase(into.id, into.imagesAgree);
 }
 
 void
@@ -186,33 +243,127 @@ PersistentMemory::restore(const Snapshot &s)
     panic_if(s.volatileImg.size() != volatileImg.size(),
              "snapshot of a %zu-byte space restored into %zu bytes",
              s.volatileImg.size(), volatileImg.size());
-    volatileImg = s.volatileImg;
-    persistedImg = s.persistedImg;
+    if (tracking && s.id == baseId) {
+        for (Addr b : changed) {
+            const std::size_t n = blockSpan(b);
+            std::memcpy(volatileImg.data() + b,
+                        s.volatileImg.data() + b, n);
+            std::memcpy(persistedImg.data() + b,
+                        s.persistedImg.data() + b, n);
+        }
+        work += 2 * changed.size();
+    } else {
+        volatileImg = s.volatileImg;
+        persistedImg = s.persistedImg;
+        work += 2 * numBlocks();
+    }
+    inFlight = s.inFlight;
+    poisoned = s.poisoned;
+    brk = s.brk;
+    nextSpec = s.nextSpec;
+    if (tracking)
+        rebase(s.id, s.imagesAgree);
+}
+
+void
+PersistentMemory::snapshotBlocks(const std::vector<Addr> &blocks,
+                                 BlockSnapshot &into) const
+{
+    into.blocks = blocks;
+    into.volatileBytes.resize(blocks.size() * blockBytes);
+    into.persistedBytes.resize(blocks.size() * blockBytes);
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+        const Addr b = blocks[i];
+        panic_if(b != blockAlign(b) || (i && b <= blocks[i - 1]) ||
+                     b >= volatileImg.size(),
+                 "snapshotBlocks wants sorted, distinct block bases "
+                 "inside the space");
+        std::memcpy(into.volatileBytes.data() + i * blockBytes,
+                    volatileImg.data() + b, blockSpan(b));
+        std::memcpy(into.persistedBytes.data() + i * blockBytes,
+                    persistedImg.data() + b, blockSpan(b));
+    }
+    work += 2 * blocks.size();
+    into.inFlight = inFlight;
+    into.poisoned = poisoned;
+    into.brk = brk;
+    into.nextSpec = nextSpec;
+}
+
+void
+PersistentMemory::restoreBlocks(const BlockSnapshot &s)
+{
+    for (std::size_t i = 0; i < s.blocks.size(); ++i) {
+        const Addr b = s.blocks[i];
+        const std::size_t n = blockSpan(b);
+        std::memcpy(volatileImg.data() + b,
+                    s.volatileBytes.data() + i * blockBytes, n);
+        std::memcpy(persistedImg.data() + b,
+                    s.persistedBytes.data() + i * blockBytes, n);
+        mark(b, n);
+    }
+    work += 2 * s.blocks.size();
     inFlight = s.inFlight;
     poisoned = s.poisoned;
     brk = s.brk;
     nextSpec = s.nextSpec;
 }
 
-void
-PersistentMemory::restoreBlocks(const Snapshot &s,
-                                const std::vector<Addr> &blocks)
+bool
+PersistentMemory::imagesAgree() const
 {
-    panic_if(s.volatileImg.size() != volatileImg.size(),
-             "snapshot of a %zu-byte space restored into %zu bytes",
-             s.volatileImg.size(), volatileImg.size());
-    for (Addr b : blocks) {
-        panic_if(b != blockAlign(b), "restoreBlocks wants block bases");
-        checkRange(b, blockBytes);
-        std::memcpy(volatileImg.data() + b, s.volatileImg.data() + b,
-                    blockBytes);
-        std::memcpy(persistedImg.data() + b, s.persistedImg.data() + b,
-                    blockBytes);
+    if (tracking && baseAgrees) {
+        // Unchanged blocks still hold the base, whose images agreed.
+        work += changed.size();
+        for (Addr b : changed) {
+            if (std::memcmp(volatileImg.data() + b,
+                            persistedImg.data() + b, blockSpan(b)) != 0)
+                return false;
+        }
+        return true;
     }
-    inFlight = s.inFlight;
-    poisoned = s.poisoned;
-    brk = s.brk;
-    nextSpec = s.nextSpec;
+    work += numBlocks();
+    return std::memcmp(volatileImg.data(), persistedImg.data(),
+                       volatileImg.size()) == 0;
+}
+
+bool
+PersistentMemory::persistedEquals(const Snapshot &base,
+                                  const BlockSnapshot &delta) const
+{
+    panic_if(base.persistedImg.size() != persistedImg.size(),
+             "snapshot of a %zu-byte space compared with %zu bytes",
+             base.persistedImg.size(), persistedImg.size());
+    work += delta.blocks.size();
+    for (std::size_t i = 0; i < delta.blocks.size(); ++i) {
+        const Addr b = delta.blocks[i];
+        if (std::memcmp(persistedImg.data() + b,
+                        delta.persistedBytes.data() + i * blockBytes,
+                        blockSpan(b)) != 0)
+            return false;
+    }
+    // Every other block must equal the base: when `base` is the base,
+    // only the changed blocks can differ from it.
+    auto inDelta = [&](Addr b) {
+        return std::binary_search(delta.blocks.begin(),
+                                  delta.blocks.end(), b);
+    };
+    auto baseBlockEqual = [&](Addr b) {
+        return inDelta(b) ||
+               std::memcmp(persistedImg.data() + b,
+                           base.persistedImg.data() + b,
+                           blockSpan(b)) == 0;
+    };
+    if (tracking && base.id == baseId) {
+        work += changed.size();
+        return std::all_of(changed.begin(), changed.end(),
+                           baseBlockEqual);
+    }
+    work += numBlocks();
+    for (Addr b = 0; b < persistedImg.size(); b += blockBytes)
+        if (!baseBlockEqual(b))
+            return false;
+    return true;
 }
 
 void
@@ -221,6 +372,37 @@ PersistentMemory::overlayDurable(Addr a, const void *src, std::size_t n)
     checkRange(a, n);
     std::memcpy(volatileImg.data() + a, src, n);
     std::memcpy(persistedImg.data() + a, src, n);
+    mark(a, n);
+}
+
+void
+PersistentMemory::reboot()
+{
+    if (!tracking) {
+        volatileImg = persistedImg;
+        return;
+    }
+    if (baseAgrees) {
+        // Unchanged blocks still hold the base, whose images agreed:
+        // only changed blocks can differ.
+        for (Addr b : changed)
+            std::memcpy(volatileImg.data() + b, persistedImg.data() + b,
+                        blockSpan(b));
+        work += changed.size();
+        return;
+    }
+    // The base disagreed somewhere unknown: walk the whole space and
+    // mark every block the copy changes, so the tracking stays exact.
+    for (Addr b = 0; b < volatileImg.size(); b += blockBytes) {
+        const std::size_t n = blockSpan(b);
+        if (std::memcmp(volatileImg.data() + b, persistedImg.data() + b,
+                        n) != 0) {
+            std::memcpy(volatileImg.data() + b, persistedImg.data() + b,
+                        n);
+            mark(b, n);
+        }
+    }
+    work += numBlocks();
 }
 
 void
@@ -235,7 +417,7 @@ PersistentMemory::crash(std::size_t keep_prefix)
     }
     inFlight.clear();
     // Reboot: every volatile copy is gone; PM is the truth.
-    volatileImg = persistedImg;
+    reboot();
 }
 
 const PersistentMemory::Pending &
@@ -290,10 +472,11 @@ PersistentMemory::crashTorn(std::size_t keep_prefix,
             const Addr hi = w + wordBytes < end ? w + wordBytes : end;
             std::memcpy(persistedImg.data() + lo,
                         p.bytes.data() + (lo - p.addr), hi - lo);
+            mark(lo, hi - lo);
         }
     }
     inFlight.clear();
-    volatileImg = persistedImg;
+    reboot();
 }
 
 void
@@ -336,6 +519,7 @@ PersistentMemory::corruptWord(Addr a, std::uint64_t xor_mask)
         volatileImg[w + b] ^= flip;
         persistedImg[w + b] ^= flip;
     }
+    mark(w, wordBytes);
 }
 
 } // namespace pmemspec::runtime

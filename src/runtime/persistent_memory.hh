@@ -37,6 +37,7 @@
 #ifndef PMEMSPEC_RUNTIME_PERSISTENT_MEMORY_HH
 #define PMEMSPEC_RUNTIME_PERSISTENT_MEMORY_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <deque>
@@ -212,32 +213,99 @@ class PersistentMemory
      * the poison set and the arena cursor). The crash-point explorer
      * snapshots the state once per operation and rewinds between
      * crash(k) trials; the observer is not part of the state and
-     * survives restore().
+     * survives restore(). Opaque: only the PM that holds it as its
+     * base may rewind to it by changed blocks (see the tracking
+     * contract below), which needs its contents to be the ones that
+     * snapshot() wrote.
      */
-    struct Snapshot
+    class Snapshot
     {
+        friend class PersistentMemory;
         std::vector<std::uint8_t> volatileImg;
         std::vector<std::uint8_t> persistedImg;
         std::deque<Pending> inFlight;
         std::set<Addr> poisoned;
-        std::size_t brk;
+        std::size_t brk = 0;
+        SpecId nextSpec = 1;
+        /** Process-unique identity of these contents (0 = empty). */
+        std::uint64_t id = 0;
+        /** volatileImg == persistedImg. */
+        bool imagesAgree = true;
+    };
+
+    /**
+     * The contents of a sorted set of 64-byte blocks, both images,
+     * plus the in-flight queue, poison set, arena cursor and
+     * store-order counter. The crash explorer keeps the post-crash
+     * state and the reference run's committed image this way: what
+     * an operation can change, not the whole space.
+     */
+    class BlockSnapshot
+    {
+        friend class PersistentMemory;
+        std::vector<Addr> blocks; ///< sorted, distinct block bases
+        std::vector<std::uint8_t> volatileBytes;
+        std::vector<std::uint8_t> persistedBytes;
+        std::deque<Pending> inFlight;
+        std::set<Addr> poisoned;
+        std::size_t brk = 0;
         SpecId nextSpec = 1;
     };
 
-    Snapshot snapshot() const;
+    /*
+     * Block tracking. From the first snapshot() on, the PM records
+     * which 64-byte blocks of either image every mutator (stores,
+     * persists, crash reboots, overlayDurable, corruptWord,
+     * restoreBlocks) touched since the *base*: the snapshot last
+     * taken or restored. Rewinding to the base, rebooting, and the
+     * oracle compares then cost O(changed blocks) instead of O(PM).
+     * Anything else -- restoring another snapshot, or a base whose
+     * two images differed -- takes the whole-image path, so every
+     * result is exact regardless of how the caller uses it.
+     */
+
+    /** Take a full snapshot; it becomes the base. */
+    Snapshot snapshot();
+
+    /** Re-take `into` in place. When `into` is the base, only the
+     *  changed blocks are copied; otherwise the whole state is. */
+    void snapshot(Snapshot &into);
+
+    /** Rewind to `s`, which becomes the base: the changed blocks
+     *  when `s` is already the base, the whole state otherwise. */
     void restore(const Snapshot &s);
 
+    /** Block bases changed since the base, in first-change order
+     *  (empty before the first snapshot). */
+    const std::vector<Addr> &changedBlocks() const { return changed; }
+
+    /** Capture `blocks` (sorted, distinct, block-aligned) into
+     *  `into`, reusing its storage. */
+    void snapshotBlocks(const std::vector<Addr> &blocks,
+                        BlockSnapshot &into) const;
+
     /**
-     * Partial restore: rewind only the 64-byte blocks listed in
-     * `blocks` (block-aligned base addresses) to their snapshot
-     * contents, in both images, then clear the in-flight queue and
-     * restore the poison set, arena cursor and store-order counter.
-     * Exact iff every byte that differs from `s` lies in `blocks`;
-     * the crash-state explorer guarantees that by collecting the
-     * dirty-block set of the operation it is exploring. Orders of
-     * magnitude cheaper than restore() for small working sets.
+     * Write the captured blocks back into both images and restore
+     * the queue, poison set, arena cursor and store-order counter.
+     * Exact iff every byte that differs from the captured state lies
+     * in the captured blocks; the crash explorer checks that claim
+     * after every recovery (recovery may write only blocks the
+     * operation's reference run changed).
      */
-    void restoreBlocks(const Snapshot &s, const std::vector<Addr> &blocks);
+    void restoreBlocks(const BlockSnapshot &s);
+
+    /** The volatile and persisted images are byte-identical. */
+    bool imagesAgree() const;
+
+    /** The persisted image equals `base`'s persisted image with
+     *  `delta`'s persisted blocks laid over it. */
+    bool persistedEquals(const Snapshot &base,
+                         const BlockSnapshot &delta) const;
+
+    /** 64-byte image blocks (per image) that snapshots, restores,
+     *  reboots and the two compares above have copied or compared:
+     *  a host-independent count of the state-management work. */
+    std::uint64_t blockWork() const { return work; }
 
     /** Raw image access for invariant checkers. */
     const std::uint8_t *volatileImage() const { return volatileImg.data(); }
@@ -249,6 +317,35 @@ class PersistentMemory
     void applyPending(const Pending &p);
     void writeTagged(Addr a, const void *src, std::size_t n,
                      bool ordered);
+    /** Reboot: the volatile image becomes a copy of the persisted
+     *  one. */
+    void reboot();
+    /** Record [a, a+n) as changed since the base (tracking only). */
+    void
+    mark(Addr a, std::size_t n)
+    {
+        if (!tracking || n == 0)
+            return;
+        for (Addr b = a / blockBytes; b <= (a + n - 1) / blockBytes;
+             ++b) {
+            if (!marked[b]) {
+                marked[b] = 1;
+                changed.push_back(b * blockBytes);
+            }
+        }
+    }
+    /** Clear the marks: the state now equals the snapshot `id`. */
+    void rebase(std::uint64_t id, bool agree);
+    /** Bytes of block `b` inside the space (the last may be short). */
+    std::size_t
+    blockSpan(Addr b) const
+    {
+        return std::min<std::size_t>(blockBytes, volatileImg.size() - b);
+    }
+    std::size_t numBlocks() const
+    {
+        return (volatileImg.size() + blockBytes - 1) / blockBytes;
+    }
 
     std::vector<std::uint8_t> volatileImg;
     std::vector<std::uint8_t> persistedImg;
@@ -259,6 +356,19 @@ class PersistentMemory
     /** Store-order id the next queued persist receives. */
     SpecId nextSpec = 1;
     Observer observer;
+
+    // ---- Block tracking (off until the first snapshot) ----
+    bool tracking = false;
+    /** One mark per block: changed since the base. */
+    std::vector<std::uint8_t> marked;
+    /** The marked blocks' bases, in first-change order. */
+    std::vector<Addr> changed;
+    /** Identity of the base snapshot (0 = none). */
+    std::uint64_t baseId = 0;
+    /** The base's two images were byte-identical. */
+    bool baseAgrees = false;
+    /** See blockWork(). */
+    mutable std::uint64_t work = 0;
 };
 
 } // namespace pmemspec::runtime

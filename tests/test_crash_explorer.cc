@@ -46,6 +46,7 @@ expectSameResult(const ExploreResult &seq, const ExploreResult &par)
     EXPECT_EQ(par.reorderStatesDeduped, seq.reorderStatesDeduped);
     EXPECT_EQ(par.elidedPersists, seq.elidedPersists);
     EXPECT_EQ(par.orderingsCollapsed, seq.orderingsCollapsed);
+    EXPECT_EQ(par.imageBlocks, seq.imageBlocks);
 }
 
 } // namespace
@@ -160,6 +161,84 @@ TEST(CrashExplorer, CatchesUnloggedWrites)
     EXPECT_GT(res.failures, 0u);
     ASSERT_FALSE(res.messages.empty());
     EXPECT_NE(res.messages.front().find("atomicity"), std::string::npos);
+}
+
+namespace
+{
+
+/** Breaks the explorer's dirty-set claim: each run of the op writes
+ *  a different block (a FASE that is not deterministic given the PM
+ *  state), so trials change blocks the reference run never touched.
+ *  The block rewind and the digest would silently go wrong; the
+ *  explorer must report it instead. */
+class DriftingWorkload : public faultinject::CrashWorkload
+{
+  public:
+    const char *name() const override { return "drifting"; }
+
+    void
+    setup(runtime::PersistentMemory &pm,
+          runtime::FaseRuntime &rt) override
+    {
+        (void)rt;
+        slots = pm.alloc(64 * slotCount, 64);
+        pm.persistAll();
+    }
+
+    std::size_t numOps() const override { return 1; }
+
+    void
+    runOp(Transaction &tx, std::size_t) override
+    {
+        const std::uint64_t run = runs++;
+        tx.writeU64(slots + 64 * (run % slotCount), run + 1);
+    }
+
+    void applyToModel(std::size_t) override {}
+    bool matchesModel() const override { return true; }
+    bool checkInvariants() const override { return true; }
+
+  private:
+    static constexpr std::size_t slotCount = 64;
+    Addr slots = 0;
+    std::uint64_t runs = 0;
+};
+
+} // namespace
+
+TEST(CrashExplorer, ReportsTrialsOutsideTheReferenceDirtySet)
+{
+    for (const bool reorder : {false, true}) {
+        SCOPED_TRACE(reorder);
+        DriftingWorkload wl;
+        ExploreOptions opts;
+        opts.reorderings = reorder;
+        const auto res = exploreCrashPoints(wl, opts);
+        EXPECT_FALSE(res.passed());
+        ASSERT_FALSE(res.messages.empty());
+        EXPECT_NE(res.messages.front().find(
+                      "outside the operation's dirty set"),
+                  std::string::npos)
+            << res.messages.front();
+    }
+}
+
+TEST(CrashExplorer, ExplorationWorkIsProportionalToTheWorkingSet)
+{
+    // No crash state pays for the whole 2 MiB space: the per-state
+    // block work stays far below one image's 32768 blocks.
+    ExploreOptions opts;
+    opts.reorderings = true;
+    opts.tornWrites = true;
+    for (const char *name : {"pm_array", "kv_store"}) {
+        auto wl = workloadFactory(name)();
+        const auto res = exploreCrashPoints(*wl, opts);
+        ASSERT_TRUE(res.passed()) << name;
+        const std::uint64_t space = wl->pmBytes() / blockBytes;
+        EXPECT_GT(res.imageBlocks, 0u) << name;
+        EXPECT_LT(res.imageBlocks, space * res.ops) << name;
+        EXPECT_LT(res.imageBlocks / res.statesVisited(), 64u) << name;
+    }
 }
 
 TEST(CrashExplorer, ParallelMatchesSequentialOnPassingWorkloads)

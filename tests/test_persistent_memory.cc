@@ -1,14 +1,17 @@
 /**
  * @file
  * Unit tests for the functional PM model: allocation, the two images,
- * in-order persist semantics, crash prefixes, and the observer.
+ * in-order persist semantics, crash prefixes, the observer, and block
+ * tracking (every tracked operation equals its whole-image form).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
+#include "common/rng.hh"
 #include "runtime/persistent_memory.hh"
 
 using namespace pmemspec;
@@ -216,4 +219,380 @@ TEST(PersistentMemory, RestoreOfMismatchedSnapshotPanics)
     PersistentMemory big(1 << 16);
     const auto snap = small.snapshot();
     EXPECT_DEATH(big.restore(snap), "snapshot");
+}
+
+// ---- Block tracking ----
+
+namespace
+{
+
+/** Both images, copied out: the full-copy reference. */
+struct Images
+{
+    std::vector<std::uint8_t> vol;
+    std::vector<std::uint8_t> per;
+};
+
+Images
+imagesOf(const PersistentMemory &pm)
+{
+    return {{pm.volatileImage(), pm.volatileImage() + pm.size()},
+            {pm.persistedImage(), pm.persistedImage() + pm.size()}};
+}
+
+bool
+sameImages(const PersistentMemory &pm, const Images &img)
+{
+    return std::memcmp(pm.volatileImage(), img.vol.data(), pm.size()) ==
+               0 &&
+           std::memcmp(pm.persistedImage(), img.per.data(), pm.size()) ==
+               0;
+}
+
+/** An untracked PM holding `pm`'s state: never snapshotted, so its
+ *  restore, reboots and compares all take the whole-image path. */
+PersistentMemory
+untrackedCopy(const PersistentMemory &pm)
+{
+    PersistentMemory copy = pm;
+    PersistentMemory ref(pm.size());
+    ref.restore(copy.snapshot());
+    return ref;
+}
+
+/** Every block where `pm` differs from `base` is a changed block. */
+void
+expectChangesTracked(const PersistentMemory &pm, const Images &base)
+{
+    std::vector<Addr> changed = pm.changedBlocks();
+    std::sort(changed.begin(), changed.end());
+    for (Addr b = 0; b < pm.size(); b += blockBytes) {
+        const std::size_t n = std::min<std::size_t>(blockBytes,
+                                                    pm.size() - b);
+        if (std::memcmp(pm.volatileImage() + b, base.vol.data() + b,
+                        n) == 0 &&
+            std::memcmp(pm.persistedImage() + b, base.per.data() + b,
+                        n) == 0)
+            continue;
+        ASSERT_TRUE(std::binary_search(changed.begin(), changed.end(), b))
+            << "block " << b << " changed but is not tracked";
+    }
+}
+
+} // namespace
+
+TEST(PersistentMemoryTracking, MatchesFullCopyModelUnderRandomMutations)
+{
+    // A short last block, so the block arithmetic meets a partial
+    // block too.
+    constexpr std::size_t bytes = 4096 + 40;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        PersistentMemory pm(bytes);
+
+        auto randomAddr = [&](std::size_t n) {
+            return static_cast<Addr>(64 + rng.below(bytes - 64 - n + 1));
+        };
+        auto randomBytes = [&](std::size_t n) {
+            std::vector<std::uint8_t> v(n);
+            for (auto &b : v)
+                b = static_cast<std::uint8_t>(rng.below(4)); // collide
+            return v;
+        };
+        auto randomWrite = [&](bool ordered) {
+            const std::size_t n = 1 + rng.below(80);
+            const auto v = randomBytes(n);
+            const Addr a = randomAddr(n);
+            if (ordered)
+                pm.writeOrdered(a, v.data(), n);
+            else
+                pm.write(a, v.data(), n);
+        };
+
+        for (int i = 0; i < 20; ++i)
+            randomWrite(false);
+        if (rng.chance(0.5))
+            pm.persistAll(); // else the base has persists in flight
+
+        struct Snap
+        {
+            PersistentMemory::Snapshot s;
+            Images img;
+            std::size_t inFlight;
+            std::size_t remaining;
+        };
+        std::vector<Snap> snaps;
+        auto takeSnap = [&] {
+            const std::size_t inFlight = pm.inFlightCount();
+            const std::size_t remaining = pm.remaining();
+            Images img = imagesOf(pm);
+            snaps.push_back({pm.snapshot(), std::move(img), inFlight,
+                             remaining});
+            return snaps.size() - 1;
+        };
+        std::size_t cur = takeSnap();
+
+        // A snapshot of a different PM of the same size.
+        {
+            PersistentMemory other(bytes);
+            const std::vector<std::uint8_t> v(300, 0x5a);
+            other.write(700, v.data(), v.size());
+            other.persistAll();
+            other.write(900, v.data(), 10); // left in flight
+            snaps.push_back({other.snapshot(), imagesOf(other), 1,
+                             other.remaining()});
+        }
+
+        // Block snapshots, with the persisted image they were taken
+        // from (what persistedEquals lays over a base).
+        struct Delta
+        {
+            PersistentMemory::BlockSnapshot bs;
+            std::vector<Addr> blocks;
+            Images img;
+            std::size_t inFlight;
+        };
+        std::vector<Delta> deltas;
+
+        for (int step = 0; step < 150; ++step) {
+            SCOPED_TRACE(step);
+            switch (rng.below(13)) {
+              case 0:
+              case 1:
+                randomWrite(false);
+                break;
+              case 2:
+                randomWrite(true);
+                break;
+              case 3:
+                pm.persistAll();
+                break;
+              case 4:
+                pm.crash(rng.below(pm.inFlightCount() + 2));
+                break;
+              case 5:
+                pm.crashTorn(rng.below(pm.inFlightCount() + 1),
+                             rng.next());
+                break;
+              case 6: {
+                const std::size_t n = 1 + rng.below(100);
+                const auto v = randomBytes(n);
+                pm.overlayDurable(randomAddr(n), v.data(), n);
+                break;
+              }
+              case 7:
+                pm.corruptWord(randomAddr(8), rng.next());
+                break;
+              case 8: {
+                // Either the tracked set or random blocks.
+                std::vector<Addr> blocks;
+                if (rng.chance(0.5)) {
+                    blocks = pm.changedBlocks();
+                } else {
+                    for (int i = 0; i < 6; ++i)
+                        blocks.push_back(blockAlign(randomAddr(1)));
+                }
+                std::sort(blocks.begin(), blocks.end());
+                blocks.erase(std::unique(blocks.begin(), blocks.end()),
+                             blocks.end());
+                Delta d;
+                pm.snapshotBlocks(blocks, d.bs);
+                d.blocks = blocks;
+                d.img = imagesOf(pm);
+                d.inFlight = pm.inFlightCount();
+                if (deltas.size() >= 4)
+                    deltas.erase(deltas.begin());
+                deltas.push_back(std::move(d));
+                break;
+              }
+              case 9: {
+                if (deltas.empty())
+                    break;
+                const Delta &d = deltas[rng.below(deltas.size())];
+                pm.restoreBlocks(d.bs);
+                EXPECT_EQ(pm.inFlightCount(), d.inFlight);
+                for (Addr b : d.blocks) {
+                    const std::size_t n =
+                        std::min<std::size_t>(blockBytes, bytes - b);
+                    ASSERT_EQ(std::memcmp(pm.volatileImage() + b,
+                                          d.img.vol.data() + b, n),
+                              0);
+                    ASSERT_EQ(std::memcmp(pm.persistedImage() + b,
+                                          d.img.per.data() + b, n),
+                              0);
+                }
+                break;
+              }
+              case 10:
+                if (snaps.size() < 6)
+                    cur = takeSnap();
+                break;
+              case 11: {
+                // Re-take a snapshot in place: the base takes the
+                // changed-block path, any other the full one.
+                const std::size_t i = rng.below(snaps.size());
+                snaps[i].inFlight = pm.inFlightCount();
+                snaps[i].remaining = pm.remaining();
+                snaps[i].img = imagesOf(pm);
+                pm.snapshot(snaps[i].s);
+                cur = i;
+                break;
+              }
+              case 12: {
+                const std::size_t i = rng.below(snaps.size());
+                pm.restore(snaps[i].s);
+                ASSERT_TRUE(sameImages(pm, snaps[i].img));
+                cur = i;
+                break;
+              }
+            }
+
+            // The marks cover every change since the base.
+            expectChangesTracked(pm, snaps[cur].img);
+            EXPECT_EQ(pm.imagesAgree(),
+                      std::memcmp(pm.volatileImage(), pm.persistedImage(),
+                                  bytes) == 0);
+
+            // Restoring any snapshot -- the base by changed blocks,
+            // the rest whole -- gives exactly its contents.
+            for (const Snap &sn : snaps) {
+                PersistentMemory c = pm;
+                c.restore(sn.s);
+                ASSERT_TRUE(sameImages(c, sn.img));
+                EXPECT_EQ(c.inFlightCount(), sn.inFlight);
+                EXPECT_EQ(c.remaining(), sn.remaining);
+            }
+
+            // Reboots (clean and torn) equal the untracked model's,
+            // and keep the tracking exact.
+            {
+                const std::size_t k = rng.below(pm.inFlightCount() + 2);
+                const std::uint64_t mask = rng.next();
+                PersistentMemory clean = pm;
+                PersistentMemory torn = pm;
+                PersistentMemory cleanRef = untrackedCopy(pm);
+                PersistentMemory tornRef = untrackedCopy(pm);
+                clean.crash(k);
+                cleanRef.crash(k);
+                torn.crashTorn(k, mask);
+                tornRef.crashTorn(k, mask);
+                ASSERT_TRUE(sameImages(clean, imagesOf(cleanRef)));
+                ASSERT_TRUE(sameImages(torn, imagesOf(tornRef)));
+                EXPECT_TRUE(clean.imagesAgree());
+                EXPECT_TRUE(torn.imagesAgree());
+                expectChangesTracked(clean, snaps[cur].img);
+                expectChangesTracked(torn, snaps[cur].img);
+            }
+
+            // persistedEquals(base, delta) against the whole image.
+            for (const Snap &sn : snaps) {
+                for (const Delta &d : deltas) {
+                    std::vector<std::uint8_t> want = sn.img.per;
+                    for (Addr b : d.blocks) {
+                        const std::size_t n =
+                            std::min<std::size_t>(blockBytes, bytes - b);
+                        std::memcpy(want.data() + b, d.img.per.data() + b,
+                                    n);
+                    }
+                    EXPECT_EQ(pm.persistedEquals(sn.s, d.bs),
+                              std::memcmp(pm.persistedImage(),
+                                          want.data(), bytes) == 0);
+                }
+            }
+        }
+    }
+}
+
+TEST(PersistentMemoryTracking, BaseRewindCostsOnlyTheChangedBlocks)
+{
+    PersistentMemory pm(1 << 20);
+    const std::uint64_t space = (1 << 20) / blockBytes;
+    const Addr a = pm.alloc(256, 64);
+    pm.writeU64(a, 1);
+    pm.persistAll();
+
+    std::uint64_t w = pm.blockWork();
+    auto pre = pm.snapshot(); // whole: copy two images, compare them
+    EXPECT_EQ(pm.blockWork() - w, 3 * space);
+
+    pm.writeU64(a, 2);         // block 0 of the region
+    pm.writeU64(a + 128, 3);   // block 2
+    pm.persistAll();
+    EXPECT_EQ(pm.changedBlocks().size(), 2u);
+
+    w = pm.blockWork();
+    EXPECT_TRUE(pm.imagesAgree());
+    pm.crash(0);
+    pm.restore(pre);
+    // imagesAgree and the reboot touch 2 blocks each, the restore
+    // 2 blocks of 2 images.
+    EXPECT_EQ(pm.blockWork() - w, 2u + 2u + 4u);
+    EXPECT_EQ(pm.readU64(a), 1u);
+    EXPECT_TRUE(pm.changedBlocks().empty());
+
+    // Re-taking the base in place is O(changed) as well.
+    pm.writeU64(a + 64, 4);
+    w = pm.blockWork();
+    pm.snapshot(pre);
+    EXPECT_EQ(pm.blockWork() - w, 2u + 1u);
+}
+
+TEST(PersistentMemoryTracking, ForeignSnapshotTakesTheWholeImagePath)
+{
+    PersistentMemory a(1 << 16);
+    PersistentMemory b(1 << 16);
+    const Addr x = a.alloc(8, 64);
+    a.writeU64(x, 7);
+    a.persistAll();
+    const auto snapA = a.snapshot();
+    auto snapB = b.snapshot();
+    (void)snapB;
+
+    b.restore(snapA);
+    EXPECT_EQ(b.readU64(x), 7u);
+    EXPECT_TRUE(b.changedBlocks().empty());
+    // snapA is now b's base: a store and a rewind touch one block.
+    b.writeU64(x, 8);
+    const std::uint64_t w = b.blockWork();
+    b.restore(snapA);
+    EXPECT_EQ(b.blockWork() - w, 2u);
+    EXPECT_EQ(b.readU64(x), 7u);
+}
+
+TEST(PersistentMemoryTracking, UnconvergedBaseRebootsExactly)
+{
+    // A base taken with a persist in flight: its images disagree in a
+    // block no mutation since has touched, so the reboot must find it
+    // by walking the whole space.
+    PersistentMemory pm(1 << 16);
+    const Addr x = pm.alloc(8, 64);
+    const Addr y = pm.alloc(8, 64);
+    pm.writeU64(x, 1); // in flight: volatile 1, persisted 0
+    const auto base = pm.snapshot();
+    EXPECT_FALSE(pm.imagesAgree());
+    pm.writeU64(y, 2);
+    pm.crash(0);
+    EXPECT_EQ(pm.readU64(x), 0u);
+    EXPECT_EQ(pm.readU64(y), 0u);
+    EXPECT_TRUE(pm.imagesAgree());
+    // The reboot marked the block it changed, so the rewind restores
+    // the in-flight value exactly.
+    pm.restore(base);
+    EXPECT_EQ(pm.readU64(x), 1u);
+    EXPECT_EQ(pm.inFlightCount(), 1u);
+    pm.persistAll();
+    std::uint64_t durable;
+    std::memcpy(&durable, pm.persistedImage() + x, sizeof(durable));
+    EXPECT_EQ(durable, 1u);
+}
+
+TEST(PersistentMemoryTracking, UntrackedUntilTheFirstSnapshot)
+{
+    PersistentMemory pm(1 << 16);
+    const Addr x = pm.alloc(8, 64);
+    pm.writeU64(x, 1);
+    pm.crash(1);
+    EXPECT_TRUE(pm.changedBlocks().empty());
+    EXPECT_EQ(pm.blockWork(), 0u);
 }

@@ -17,6 +17,7 @@
  * (capped at 125), so CI can gate directly on it.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -187,6 +188,7 @@ main(int argc, char **argv)
 
     int failing = 0;
     std::uint64_t totNaive = 0, totExplored = 0, totPruned = 0;
+    std::uint64_t totBlocks = 0;
     double totalMs = 0;
     for (const auto &name : selected) {
         const auto factory = faultinject::workloadFactory(name);
@@ -232,6 +234,13 @@ main(int argc, char **argv)
         row.set("elided_persists", Json(res.elidedPersists));
         row.set("orderings_collapsed", Json(res.orderingsCollapsed));
         row.set("reduction_factor", Json(res.reductionFactor()));
+        // Host-independent exploration work: image blocks copied or
+        // compared, in total and per crash state rewound to.
+        row.set("image_blocks", Json(res.imageBlocks));
+        row.set("image_blocks_per_state",
+                Json(static_cast<double>(res.imageBlocks) /
+                     static_cast<double>(std::max<std::uint64_t>(
+                         res.statesVisited(), 1))));
         row.set("wall_ms", Json(ms));
         sink.addRow("modelcheck", row);
 
@@ -240,12 +249,14 @@ main(int argc, char **argv)
         totNaive += res.naiveStates;
         totExplored += res.reorderStatesExplored;
         totPruned += res.statesPruned();
+        totBlocks += res.imageBlocks;
         totalMs += ms;
     }
 
     sink.setMeta("total_naive_states", Json(totNaive));
     sink.setMeta("total_states_explored", Json(totExplored));
     sink.setMeta("total_states_pruned", Json(totPruned));
+    sink.setMeta("total_image_blocks", Json(totBlocks));
     sink.setMeta("total_wall_ms", Json(totalMs));
     if (!opt.jsonPath.empty() && !sink.writeFile(opt.jsonPath))
         return 2;
