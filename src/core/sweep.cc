@@ -2,25 +2,13 @@
 
 #include <algorithm>
 #include <fstream>
-#include <thread>
 
 #include "common/logging.hh"
-#include "sim/domain_pool.hh"
 
 namespace pmemspec::core
 {
 
 using persistency::Design;
-
-SweepRunner::SweepRunner(unsigned jobs)
-{
-    if (jobs == 0) {
-        jobs = std::thread::hardware_concurrency();
-        if (jobs == 0)
-            jobs = 1;
-    }
-    njobs = std::clamp(jobs, 1u, maxJobs);
-}
 
 void
 SweepRunner::forEach(std::size_t n,
@@ -31,7 +19,7 @@ SweepRunner::forEach(std::size_t n,
     // generic pool provides the dispatch + per-index error capture.
     // Only the error prefix ("sweep point" vs "domain") is ours.
     std::vector<std::string> local_errors;
-    sim::DomainPool(njobs).run(n, task, &local_errors);
+    pool.run(n, task, &local_errors);
 
     if (errors) {
         *errors = std::move(local_errors);

@@ -24,6 +24,7 @@
 
 #include "common/json.hh"
 #include "core/experiment.hh"
+#include "sim/domain_pool.hh"
 
 namespace pmemspec::core
 {
@@ -49,20 +50,20 @@ struct SweepResult
 };
 
 /**
- * Executes sweep points across a worker pool of `jobs` host threads
- * (0 = hardware concurrency). Results are collected in submission
- * order; an exception in one point is captured into its SweepResult
- * and does not poison the pool.
+ * Executes sweep points across a sim::DomainPool of `jobs` host
+ * threads (0 = hardware concurrency, clamped by the pool). Results are
+ * collected in submission order; an exception in one point is captured
+ * into its SweepResult and does not poison the pool.
  */
 class SweepRunner
 {
   public:
     /** Upper clamp on --jobs (a typo guard, not a tuning limit). */
-    static constexpr unsigned maxJobs = 256;
+    static constexpr unsigned maxJobs = sim::DomainPool::maxThreads;
 
-    explicit SweepRunner(unsigned jobs = 0);
+    explicit SweepRunner(unsigned jobs = 0) : pool(jobs) {}
 
-    unsigned jobs() const { return njobs; }
+    unsigned jobs() const { return pool.threads(); }
 
     /**
      * Deterministic parallel for: run task(i) for every i in [0, n)
@@ -80,7 +81,7 @@ class SweepRunner
     run(const std::vector<SweepPoint> &points) const;
 
   private:
-    unsigned njobs;
+    sim::DomainPool pool;
 };
 
 /**

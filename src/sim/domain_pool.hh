@@ -40,7 +40,7 @@ class DomainPool
 {
   public:
     /** Upper clamp on the thread count (a typo guard, not a tuning
-     *  limit); mirrors SweepRunner::maxJobs. */
+     *  limit); SweepRunner::maxJobs is this value. */
     static constexpr unsigned maxThreads = 256;
 
     /** @param threads worker count; 0 = hardware concurrency. */

@@ -1,5 +1,7 @@
 #include "event_queue.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace pmemspec::sim
@@ -12,21 +14,19 @@ EventQueue::EventQueue()
 
 EventQueue::~EventQueue()
 {
-    // Destroy callables still pending (ring chains hold only live
-    // slots; the far heap may also hold lazily-cancelled ones).
-    for (std::uint32_t b = 0; b < kBuckets; ++b) {
-        for (std::uint32_t i = buckets[b].head; i != kNil;) {
-            Slot &s = slotAt(i);
-            if (s.destroy)
-                s.destroy(s.buf);
-            i = s.next;
-        }
-    }
-    for (std::uint32_t i : farHeap) {
+    // Destroy the callables still pending in the ring and the far heap.
+    auto destroy = [this](std::uint32_t i) {
         Slot &s = slotAt(i);
-        if (s.invoke && s.destroy)
+        if (s.destroy)
             s.destroy(s.buf);
+        return s.next;
+    };
+    for (const Bucket &bk : buckets) {
+        for (std::uint32_t i = bk.head; i != kNil;)
+            i = destroy(i);
     }
+    for (std::uint32_t i : farHeap)
+        destroy(i);
 }
 
 void
@@ -44,33 +44,16 @@ EventQueue::allocSlot()
     if (freeHead == kNil) {
         // Grow the arena by one chunk and chain it onto the free list.
         auto chunk = std::make_unique<Slot[]>(kChunkSlots);
-        const std::uint32_t base = slotCount;
-        for (std::uint32_t i = 0; i < kChunkSlots; ++i) {
-            chunk[i].gen = 0;
-            chunk[i].where = Where::Free;
-            chunk[i].invoke = nullptr;
-            chunk[i].destroy = nullptr;
+        const auto base =
+            static_cast<std::uint32_t>(chunks.size() << kChunkShift);
+        for (std::uint32_t i = 0; i < kChunkSlots; ++i)
             chunk[i].next = (i + 1 < kChunkSlots) ? base + i + 1 : kNil;
-        }
         chunks.push_back(std::move(chunk));
-        slotCount += kChunkSlots;
         freeHead = base;
     }
     const std::uint32_t idx = freeHead;
     freeHead = slotAt(idx).next;
     return idx;
-}
-
-void
-EventQueue::freeSlot(std::uint32_t idx)
-{
-    Slot &s = slotAt(idx);
-    s.invoke = nullptr;
-    s.destroy = nullptr;
-    s.where = Where::Free;
-    ++s.gen; // invalidate every outstanding EventRef to this slot
-    s.next = freeHead;
-    freeHead = idx;
 }
 
 void
@@ -88,41 +71,33 @@ EventQueue::clearBit(std::uint32_t bucket)
 void
 EventQueue::link(std::uint32_t idx, Slot &s)
 {
+    // when >= now and baseDay <= day(now), so this cannot underflow.
     const std::uint64_t day = s.when >> kDayShift;
-    if (numPending == 0) {
-        // Empty queue: re-anchor the ring window at this event.
-        baseDay = day;
-    }
     ++numPending;
     if (day - baseDay < kBuckets) {
         ringInsert(idx, s);
     } else {
-        s.where = Where::Far;
-        farPush(idx);
-        ++farLive;
+        farHeap.push_back(idx);
+        std::push_heap(farHeap.begin(), farHeap.end(), farOrder());
     }
 }
 
 void
 EventQueue::ringInsert(std::uint32_t idx, Slot &s)
 {
-    s.where = Where::Ring;
     const std::uint32_t b =
         static_cast<std::uint32_t>(s.when >> kDayShift) & kBucketMask;
     Bucket &bk = buckets[b];
-    ++ringCount;
     if (bk.head == kNil) {
         bk.head = bk.tail = idx;
         s.next = kNil;
         setBit(b);
         return;
     }
-    Slot &tail = slotAt(bk.tail);
     // Fast path: sequence numbers grow monotonically, so an insert
-    // belongs at the tail unless it undercuts the tail's tick (a far
-    // migration can; a plain schedule cannot).
-    if (tail.when < s.when ||
-        (tail.when == s.when && tail.seq < s.seq)) {
+    // belongs at the tail unless it undercuts the tail's tick.
+    Slot &tail = slotAt(bk.tail);
+    if (before(tail, s)) {
         tail.next = idx;
         s.next = kNil;
         bk.tail = idx;
@@ -133,7 +108,7 @@ EventQueue::ringInsert(std::uint32_t idx, Slot &s)
     std::uint32_t cur = bk.head;
     while (cur != kNil) {
         const Slot &c = slotAt(cur);
-        if (s.when < c.when || (s.when == c.when && s.seq < c.seq))
+        if (before(s, c))
             break;
         prev = cur;
         cur = c.next;
@@ -145,30 +120,6 @@ EventQueue::ringInsert(std::uint32_t idx, Slot &s)
         slotAt(prev).next = idx;
     if (cur == kNil)
         bk.tail = idx;
-}
-
-void
-EventQueue::ringUnlink(std::uint32_t idx, Slot &s)
-{
-    const std::uint32_t b =
-        static_cast<std::uint32_t>(s.when >> kDayShift) & kBucketMask;
-    Bucket &bk = buckets[b];
-    std::uint32_t prev = kNil;
-    std::uint32_t cur = bk.head;
-    while (cur != idx) {
-        panic_if(cur == kNil, "event slot missing from its bucket");
-        prev = cur;
-        cur = slotAt(cur).next;
-    }
-    if (prev == kNil)
-        bk.head = s.next;
-    else
-        slotAt(prev).next = s.next;
-    if (bk.tail == idx)
-        bk.tail = prev;
-    if (bk.head == kNil)
-        clearBit(b);
-    --ringCount;
 }
 
 std::uint32_t
@@ -195,152 +146,56 @@ EventQueue::findRingMin() const
         word = (word + 1) & ((kBuckets >> 6) - 1);
         bits = bucketBits[word];
     }
-    panic("ring bitmap empty with ringCount=%zu", ringCount);
-}
-
-bool
-EventQueue::farLess(std::uint32_t a, std::uint32_t b) const
-{
-    const Slot &sa = slotAt(a);
-    const Slot &sb = slotAt(b);
-    if (sa.when != sb.when)
-        return sa.when < sb.when;
-    return sa.seq < sb.seq;
-}
-
-void
-EventQueue::farPush(std::uint32_t idx)
-{
-    farHeap.push_back(idx);
-    std::size_t i = farHeap.size() - 1;
-    while (i > 0) {
-        const std::size_t parent = (i - 1) / 2;
-        if (!farLess(farHeap[i], farHeap[parent]))
-            break;
-        std::swap(farHeap[i], farHeap[parent]);
-        i = parent;
-    }
+    panic("ring bitmap empty with %zu events pending", numPending);
 }
 
 std::uint32_t
-EventQueue::farPop()
+EventQueue::peekMin() const
 {
-    const std::uint32_t top = farHeap.front();
-    farHeap.front() = farHeap.back();
-    farHeap.pop_back();
-    std::size_t i = 0;
-    const std::size_t n = farHeap.size();
-    while (true) {
-        const std::size_t l = 2 * i + 1;
-        const std::size_t r = l + 1;
-        std::size_t m = i;
-        if (l < n && farLess(farHeap[l], farHeap[m]))
-            m = l;
-        if (r < n && farLess(farHeap[r], farHeap[m]))
-            m = r;
-        if (m == i)
-            break;
-        std::swap(farHeap[i], farHeap[m]);
-        i = m;
-    }
-    return top;
+    if (farHeap.empty())
+        return findRingMin();
+    const std::uint32_t far = farHeap.front();
+    if (farHeap.size() == numPending)
+        return far;
+    const std::uint32_t ring = findRingMin();
+    return before(slotAt(far), slotAt(ring)) ? far : ring;
 }
 
 void
-EventQueue::cleanFarTop()
+EventQueue::fire(std::uint32_t idx)
 {
-    while (!farHeap.empty()) {
-        Slot &s = slotAt(farHeap.front());
-        if (s.invoke)
-            return;
-        freeSlot(farPop()); // reap a lazily-cancelled far event
-    }
-}
-
-void
-EventQueue::migrateFarMin()
-{
-    const std::uint32_t idx = farPop();
     Slot &s = slotAt(idx);
-    --farLive;
-    // The migrating event is the global minimum, so every pending day
-    // is >= its day and re-anchoring the window on it is safe.
-    baseDay = s.when >> kDayShift;
-    ringInsert(idx, s);
-}
-
-std::uint32_t
-EventQueue::popMin()
-{
-    std::uint32_t idx = kNil;
-    if (farLive != 0) {
-        cleanFarTop();
-        bool migrate = true;
-        if (ringCount != 0) {
-            const Slot &ft = slotAt(farHeap.front());
-            const Slot &rm = slotAt(idx = findRingMin());
-            migrate = ft.when < rm.when ||
-                      (ft.when == rm.when && ft.seq < rm.seq);
-        }
-        if (migrate) {
-            // The migrated event is the new global minimum and
-            // migrateFarMin() re-anchored baseDay on it, so it heads
-            // its (now earliest) bucket -- no re-scan needed.
-            migrateFarMin();
-            idx = buckets[static_cast<std::uint32_t>(baseDay) &
-                          kBucketMask].head;
-        }
+    panic_if(s.when < curTick,
+             "event order broken (when=%llu now=%llu)",
+             static_cast<unsigned long long>(s.when),
+             static_cast<unsigned long long>(curTick));
+    if (!farHeap.empty() && farHeap.front() == idx) {
+        std::pop_heap(farHeap.begin(), farHeap.end(), farOrder());
+        farHeap.pop_back();
     } else {
-        idx = findRingMin();
+        // A ring minimum heads the chain of its day's bucket.
+        const std::uint32_t b =
+            static_cast<std::uint32_t>(s.when >> kDayShift) & kBucketMask;
+        Bucket &bk = buckets[b];
+        bk.head = s.next;
+        if (bk.head == kNil) {
+            bk.tail = kNil;
+            clearBit(b);
+        }
     }
-    Slot &s = slotAt(idx);
-    baseDay = s.when >> kDayShift; // keep the window anchored at now
-    const std::uint32_t b =
-        static_cast<std::uint32_t>(baseDay) & kBucketMask;
-    Bucket &bk = buckets[b];
-    bk.head = s.next;
-    if (bk.head == kNil) {
-        bk.tail = kNil;
-        clearBit(b);
-    }
-    --ringCount;
+    // s is the global minimum, so anchoring the window on its day
+    // keeps every pending event inside [baseDay, ...).
+    baseDay = s.when >> kDayShift;
+    curTick = s.when;
     --numPending;
-    return idx;
-}
-
-bool
-EventQueue::cancel(EventRef ref)
-{
-    if (ref.slot == kNil || ref.slot >= slotCount)
-        return false;
-    Slot &s = slotAt(ref.slot);
-    if (s.gen != ref.gen || !s.invoke ||
-        (s.where != Where::Ring && s.where != Where::Far))
-        return false;
+    ++numExecuted;
+    // Arena growth by a callback leaves existing slots in place, and s
+    // stays off the free list until the callback has returned.
+    s.invoke(s.buf);
     if (s.destroy)
         s.destroy(s.buf);
-    s.invoke = nullptr;
-    s.destroy = nullptr;
-    --numPending;
-    if (s.where == Where::Ring) {
-        ringUnlink(ref.slot, s);
-        freeSlot(ref.slot);
-    } else {
-        // Far events are reaped lazily when they surface at the heap
-        // top; removing from the middle of a binary heap is O(n).
-        --farLive;
-    }
-    return true;
-}
-
-bool
-EventQueue::scheduled(EventRef ref) const
-{
-    if (ref.slot == kNil || ref.slot >= slotCount)
-        return false;
-    const Slot &s = slotAt(ref.slot);
-    return s.gen == ref.gen && s.invoke != nullptr &&
-           (s.where == Where::Ring || s.where == Where::Far);
+    s.next = freeHead;
+    freeHead = idx;
 }
 
 bool
@@ -348,21 +203,7 @@ EventQueue::step()
 {
     if (numPending == 0)
         return false;
-    const std::uint32_t idx = popMin();
-    Slot &s = slotAt(idx);
-    curTick = s.when;
-    ++numExecuted;
-    // Detach the callable's entry points before invoking: the callback
-    // may schedule (growing the arena leaves slots in place) but a
-    // cancel() of the already-running event must be a no-op.
-    auto invoke = s.invoke;
-    s.invoke = nullptr;
-    s.where = Where::Executing;
-    invoke(s.buf);
-    Slot &after = slotAt(idx); // re-resolve across chunk growth
-    if (after.destroy)
-        after.destroy(after.buf);
-    freeSlot(idx);
+    fire(peekMin());
     return true;
 }
 
@@ -370,23 +211,10 @@ void
 EventQueue::runUntil(Tick t)
 {
     while (numPending != 0) {
-        // Peek the global minimum (same search step() would do).
-        Tick next;
-        if (farLive != 0) {
-            cleanFarTop();
-            if (ringCount == 0) {
-                next = slotAt(farHeap.front()).when;
-            } else {
-                const Slot &ft = slotAt(farHeap.front());
-                const Slot &rm = slotAt(findRingMin());
-                next = ft.when < rm.when ? ft.when : rm.when;
-            }
-        } else {
-            next = slotAt(findRingMin()).when;
-        }
-        if (next > t)
+        const std::uint32_t idx = peekMin();
+        if (slotAt(idx).when > t)
             break;
-        step();
+        fire(idx);
     }
     if (curTick < t)
         curTick = t;

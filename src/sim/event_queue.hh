@@ -16,13 +16,12 @@
  *    kInlineBytes are stored inline in the record (small-buffer
  *    optimization); larger ones fall back to one heap box.
  *  - Pending events are organised as a calendar queue: a ring of
- *    power-of-two buckets, each covering kDayTicks of simulated time,
+ *    power-of-two buckets, each covering one 2^kDayShift-tick "day",
  *    plus a far-future binary heap for events beyond the ring horizon.
  *    A bitmap over the buckets makes "find the next non-empty day" a
- *    couple of word scans.
- *  - schedule() hands back an EventRef supporting O(chain) intrusive
- *    cancellation -- no std::function wrapper, no shared generation
- *    counters.
+ *    couple of word scans. The ring window starts at baseDay, which
+ *    never passes the day of now(), so every pending event lies at or
+ *    after it.
  *
  * Execution order is the total order (when, seq): identical to the
  * binary-heap kernel this replaces, so simulation results are
@@ -58,21 +57,6 @@ struct After
     Tick delta;
 };
 
-/**
- * Handle to a scheduled event, returned by schedule(). Valid until
- * the event executes or is cancelled; a default-constructed ref is
- * null. Slot indices are generation-stamped, so a stale ref held
- * across its event's execution never aliases a reused slot.
- */
-struct EventRef
-{
-    std::uint32_t slot = 0xffffffffu;
-    std::uint32_t gen = 0;
-
-    /** @return true if this ref was ever bound to an event. */
-    explicit operator bool() const { return slot != 0xffffffffu; }
-};
-
 /** Tick-ordered calendar queue of callables; the heart of the
  *  simulator. */
 class EventQueue
@@ -100,34 +84,21 @@ class EventQueue
     /** Current simulated time. */
     Tick now() const { return curTick; }
 
-    /**
-     * Schedule a callable at an absolute tick (>= now).
-     * @return a handle that can cancel the event while pending.
-     */
+    /** Schedule a callable at an absolute tick (>= now). */
     template <typename F>
-    EventRef
+    void
     schedule(Tick when, F &&f)
     {
-        return emplace(when, std::forward<F>(f));
+        emplace(when, std::forward<F>(f));
     }
 
     /** Schedule a callable delta ticks from now. */
     template <typename F>
-    EventRef
+    void
     schedule(After d, F &&f)
     {
-        return emplace(curTick + d.delta, std::forward<F>(f));
+        emplace(curTick + d.delta, std::forward<F>(f));
     }
-
-    /**
-     * Cancel a pending event: its callable is destroyed immediately
-     * and it will never run. @return false if the ref is null, stale,
-     * or the event already executed / was already cancelled.
-     */
-    bool cancel(EventRef ref);
-
-    /** @return true while the referenced event is still pending. */
-    bool scheduled(EventRef ref) const;
 
     /** @return true when no events remain. */
     bool empty() const { return numPending == 0; }
@@ -171,26 +142,16 @@ class EventQueue
     static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;
     static constexpr std::uint32_t kChunkMask = kChunkSlots - 1;
 
-    enum class Where : std::uint8_t
-    {
-        Free,
-        Ring,
-        Far,
-        Executing,
-    };
-
     /** One arena-resident event record. */
     struct Slot
     {
         Tick when;
         std::uint64_t seq;
         std::uint32_t next; ///< bucket chain link / free-list link
-        std::uint32_t gen;  ///< bumped at every free; stamps EventRefs
-        /** Invoke the stored callable (null once cancelled or fired). */
+        /** Invoke the stored callable. */
         void (*invoke)(void *);
         /** Destroy the stored callable (null for trivial types). */
         void (*destroy)(void *);
-        Where where;
         alignas(std::max_align_t) unsigned char buf[kInlineBytes];
     };
 
@@ -235,7 +196,7 @@ class EventQueue
     }
 
     template <typename F>
-    EventRef
+    void
     emplace(Tick when, F &&f)
     {
         using Fn = std::decay_t<F>;
@@ -257,7 +218,6 @@ class EventQueue
             s.destroy = &destroyBoxed<Fn>;
         }
         link(idx, s);
-        return EventRef{idx, s.gen};
     }
 
     // --- out-of-line machinery (event_queue.cc) ---------------------
@@ -274,35 +234,39 @@ class EventQueue
     /** Pop a slot off the free list, growing the arena if needed. */
     std::uint32_t allocSlot();
 
-    /** Return a slot to the free list (bumps its generation). */
-    void freeSlot(std::uint32_t idx);
-
     /** File a freshly initialised slot into the ring or the far heap. */
     void link(std::uint32_t idx, Slot &s);
 
     /** Sorted insertion into the ring bucket for s.when. */
     void ringInsert(std::uint32_t idx, Slot &s);
 
-    /** Unlink a live slot from its ring bucket chain. */
-    void ringUnlink(std::uint32_t idx, Slot &s);
-
     /** Index of the earliest ring event; ring must be non-empty. */
     std::uint32_t findRingMin() const;
 
-    /** Drop cancelled slots off the far-heap top; heap may empty. */
-    void cleanFarTop();
+    /** Index of the globally earliest pending event; numPending must
+     *  be non-zero. */
+    std::uint32_t peekMin() const;
 
-    /** Move the far-heap minimum into the ring (advances baseDay). */
-    void migrateFarMin();
+    /** Run the pending event idx (the peekMin() result): detach it,
+     *  advance now() to its tick, invoke, destroy and free it. */
+    void fire(std::uint32_t idx);
 
-    /** Detach the globally earliest pending event and return its slot
-     *  index; numPending must be non-zero. */
-    std::uint32_t popMin();
+    /** The execution order: (when, seq), unique per event. */
+    static bool
+    before(const Slot &a, const Slot &b)
+    {
+        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+    }
 
-    void farPush(std::uint32_t idx);
-    std::uint32_t farPop();
-
-    bool farLess(std::uint32_t a, std::uint32_t b) const;
+    /** std heap comparator that keeps the earliest far event at
+     *  farHeap.front(). */
+    auto
+    farOrder() const
+    {
+        return [this](std::uint32_t a, std::uint32_t b) {
+            return before(slotAt(b), slotAt(a));
+        };
+    }
 
     void setBit(std::uint32_t bucket);
     void clearBit(std::uint32_t bucket);
@@ -311,21 +275,20 @@ class EventQueue
 
     std::vector<std::unique_ptr<Slot[]>> chunks;
     std::uint32_t freeHead = kNil;
-    std::uint32_t slotCount = 0;
 
     std::vector<Bucket> buckets;
     /** One bit per bucket: set while the bucket chain is non-empty. */
     std::vector<std::uint64_t> bucketBits;
     /** All ring events have day in [baseDay, baseDay + kBuckets);
-     *  baseDay <= the day of every pending event. */
+     *  baseDay <= day(now) <= the day of every pending event. Only
+     *  fire() moves it, to the day of the event it runs. */
     std::uint64_t baseDay = 0;
-    std::size_t ringCount = 0;
 
     /** Far-future events (day >= baseDay + kBuckets at insert time),
-     *  as a binary min-heap of slot indices ordered by (when, seq).
-     *  Cancelled entries are reaped lazily at the top. */
+     *  as a std heap of slot indices with the (when, seq) minimum at
+     *  the front. They run straight from the heap; every other pending
+     *  event is in the ring. */
     std::vector<std::uint32_t> farHeap;
-    std::size_t farLive = 0;
 
     Tick curTick = 0;
     std::uint64_t nextSeq = 0;

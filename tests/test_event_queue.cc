@@ -7,8 +7,11 @@
 
 #include <functional>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hh"
 #include "sim/clock.hh"
 #include "sim/event_queue.hh"
 
@@ -163,100 +166,98 @@ TEST(EventQueue, FarFutureEventsMigrateInOrder)
                   static_cast<Tick>(i) * 3'000'000);
 }
 
-TEST(EventQueue, CancelPendingEvent)
+TEST(EventQueue, EmptyQueueFarThenNearKeepsTimeOrder)
 {
+    // Scheduling far-then-near into an empty queue must not move the
+    // ring window past now: the far event would then alias an earlier
+    // bucket and run before events dated ahead of it.
     EventQueue eq;
-    int ran = 0;
-    auto ref = eq.schedule(10, [&] { ++ran; });
-    eq.schedule(20, [&] { ++ran; });
-    EXPECT_TRUE(eq.scheduled(ref));
-    EXPECT_TRUE(eq.cancel(ref));
-    EXPECT_FALSE(eq.scheduled(ref));
-    EXPECT_FALSE(eq.cancel(ref)); // double cancel is a no-op
+    std::vector<Tick> at;
+    auto record = [&] { at.push_back(eq.now()); };
+    eq.schedule(1'280'000, record);
+    eq.schedule(10, [&] {
+        record();
+        eq.schedule(512'000, record);
+    });
     eq.run();
-    EXPECT_EQ(ran, 1);
-    EXPECT_EQ(eq.executed(), 1u);
+    EXPECT_EQ(at, (std::vector<Tick>{10, 512'000, 1'280'000}));
 }
 
-TEST(EventQueue, CancelFarFutureEvent)
+TEST(EventQueue, RandomSchedulesMatchSortedReference)
 {
-    EventQueue eq;
-    int ran = 0;
-    auto far = eq.schedule(9'000'000, [&] { ran += 10; });
-    eq.schedule(5, [&] { ran += 1; });
-    EXPECT_TRUE(eq.cancel(far));
-    eq.run();
-    EXPECT_EQ(ran, 1);
-    EXPECT_TRUE(eq.empty());
-}
-
-TEST(EventQueue, CancelNullAndExecutedRefs)
-{
-    EventQueue eq;
-    EXPECT_FALSE(eq.cancel(sim::EventRef{}));
-    EXPECT_FALSE(eq.scheduled(sim::EventRef{}));
-    auto ref = eq.schedule(1, [] {});
-    eq.run();
-    EXPECT_FALSE(eq.cancel(ref)); // already executed
-    EXPECT_FALSE(eq.scheduled(ref));
-}
-
-TEST(EventQueue, SelfCancelDuringExecutionIsNoOp)
-{
-    EventQueue eq;
-    sim::EventRef self;
-    bool cancelled = true;
-    self = eq.schedule(5, [&] { cancelled = eq.cancel(self); });
-    eq.run();
-    EXPECT_FALSE(cancelled);
-    EXPECT_EQ(eq.executed(), 1u);
-}
-
-TEST(EventQueue, CancelledCallableIsDestroyedOnce)
-{
-    EventQueue eq;
-    auto count = std::make_shared<int>(0);
-    auto ref = eq.schedule(10, [count] { (void)count; });
-    EXPECT_EQ(count.use_count(), 2);
-    EXPECT_TRUE(eq.cancel(ref));
-    EXPECT_EQ(count.use_count(), 1); // destroyed at cancel time
-    eq.run();
-}
-
-TEST(EventQueue, StaleRefDoesNotAliasReusedSlot)
-{
-    // Arena reuse-after-free: once an event fires, its slot recycles
-    // for new events; the stale ref's generation must not match.
-    EventQueue eq;
-    auto first = eq.schedule(1, [] {});
-    eq.run();
-    int ran = 0;
-    auto second = eq.schedule(After{1}, [&] { ++ran; });
-    // The recycled slot likely has the same index but a newer gen.
-    EXPECT_FALSE(eq.cancel(first));
-    EXPECT_FALSE(eq.scheduled(first));
-    EXPECT_TRUE(eq.scheduled(second));
-    eq.run();
-    EXPECT_EQ(ran, 1);
+    // Same-tick, in-ring, past-horizon and far-future delays, scheduled
+    // from outside and from callbacks (the population often dies out,
+    // so callbacks also schedule into an empty queue), stepped with
+    // runUntil. Every event must run at its tick and be the minimum
+    // of a sorted (when, seq) reference when it does.
+    constexpr Tick kRingSpan = Tick{4096} << 8; // kBuckets days
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE(seed);
+        EventQueue eq;
+        Rng rng(seed);
+        std::set<std::pair<Tick, std::uint64_t>> reference;
+        std::uint64_t next_id = 0;
+        std::uint64_t child_budget = 3000;
+        std::uint64_t misordered = 0;
+        std::function<void()> add = [&] {
+            Tick delay = 0;
+            switch (rng.below(4)) {
+              case 0: // same tick
+                break;
+              case 1:
+                delay = rng.below(kRingSpan);
+                break;
+              case 2:
+                delay = kRingSpan + rng.below(kRingSpan);
+                break;
+              default:
+                delay = rng.below(64 * kRingSpan);
+                break;
+            }
+            const std::pair<Tick, std::uint64_t> key{eq.now() + delay,
+                                                     next_id++};
+            reference.insert(key);
+            eq.schedule(key.first, [&, key] {
+                if (eq.now() != key.first || *reference.begin() != key)
+                    ++misordered;
+                reference.erase(key);
+                for (auto kids = rng.below(3); kids > 0 && child_budget > 0;
+                     --kids, --child_budget)
+                    add();
+            });
+        };
+        for (int round = 0; round < 200; ++round) {
+            for (auto roots = rng.below(3); roots > 0; --roots)
+                add();
+            eq.runUntil(eq.now() + rng.below(4 * kRingSpan));
+            EXPECT_TRUE(reference.empty() ||
+                        reference.begin()->first > eq.now());
+        }
+        eq.run();
+        EXPECT_TRUE(reference.empty());
+        EXPECT_EQ(misordered, 0u);
+        EXPECT_EQ(eq.executed(), next_id);
+    }
 }
 
 TEST(EventQueue, ArenaChurnReusesSlots)
 {
-    // Heavy schedule/cancel/fire churn across many arena chunks; the
-    // sanitizer job turns any use-after-free in slot recycling fatal.
+    // Heavy schedule/fire churn across many arena chunks, with
+    // callbacks scheduling into the slots just freed; the sanitizer
+    // job turns any use-after-free in slot recycling fatal.
     EventQueue eq;
     std::uint64_t ran = 0;
-    std::vector<sim::EventRef> refs;
     for (int round = 0; round < 50; ++round) {
-        refs.clear();
-        for (int i = 0; i < 600; ++i)
-            refs.push_back(eq.schedule(After{static_cast<Tick>(i % 7)},
-                                       [&] { ++ran; }));
-        for (std::size_t i = 0; i < refs.size(); i += 3)
-            EXPECT_TRUE(eq.cancel(refs[i]));
+        for (int i = 0; i < 600; ++i) {
+            eq.schedule(After{static_cast<Tick>(i % 7)}, [&, i] {
+                ++ran;
+                if (i % 3 == 0)
+                    eq.schedule(After{1}, [&] { ++ran; });
+            });
+        }
         eq.run();
     }
-    EXPECT_EQ(ran, 50u * 400u);
+    EXPECT_EQ(ran, 50u * 800u);
     EXPECT_TRUE(eq.empty());
 }
 
@@ -274,27 +275,30 @@ TEST(EventQueue, LargeCallablesAreBoxedAndDestroyed)
     auto token = std::make_shared<int>(7);
     int got = 0;
     eq.schedule(1, [big = Big{token, {}}, &got] { got = *big.token; });
-    auto ref = eq.schedule(2, [big = Big{token, {}}] { (void)big; });
+    eq.schedule(2, [big = Big{token, {}}] { (void)big; });
     EXPECT_EQ(token.use_count(), 3);
-    EXPECT_TRUE(eq.cancel(ref));
-    EXPECT_EQ(token.use_count(), 2);
-    eq.run();
+    EXPECT_TRUE(eq.step());
     EXPECT_EQ(got, 7);
+    EXPECT_EQ(token.use_count(), 2); // destroyed once it has run
+    eq.run();
     EXPECT_EQ(token.use_count(), 1);
 }
 
-TEST(EventQueue, PendingCountTracksCancellation)
+TEST(EventQueue, PendingCountTracksRingAndFarEvents)
 {
     EventQueue eq;
-    auto a = eq.schedule(10, [] {});
-    auto b = eq.schedule(7'000'000, [] {}); // far heap
+    eq.schedule(10, [] {});
+    eq.schedule(7'000'000, [] {}); // far heap
+    eq.schedule(20, [] {});
+    EXPECT_EQ(eq.pending(), 3u);
+    EXPECT_TRUE(eq.step());
     EXPECT_EQ(eq.pending(), 2u);
-    EXPECT_TRUE(eq.cancel(b));
+    eq.runUntil(20);
     EXPECT_EQ(eq.pending(), 1u);
-    EXPECT_TRUE(eq.cancel(a));
+    EXPECT_TRUE(eq.step());
+    EXPECT_EQ(eq.now(), 7'000'000u);
     EXPECT_TRUE(eq.empty());
-    eq.run();
-    EXPECT_EQ(eq.executed(), 0u);
+    EXPECT_EQ(eq.executed(), 3u);
 }
 
 TEST(EventQueue, PendingCallablesDestroyedWithQueue)

@@ -18,10 +18,12 @@
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -78,6 +80,28 @@ usage()
         "the number of failing workloads (capped at 125).\n");
 }
 
+/** Parse the value of `--flag=VALUE` as a whole decimal unsigned:
+ *  false (with a message) on garbage, trailing characters or
+ *  overflow. */
+bool
+parseUnsigned(const std::string &arg, std::size_t prefix, unsigned &out)
+{
+    const char *s = arg.c_str() + prefix;
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long v = std::strtoul(s, &end, 10);
+    if (*s < '0' || *s > '9' || *end != '\0' || errno == ERANGE ||
+        v > std::numeric_limits<unsigned>::max()) {
+        std::fprintf(stderr,
+                     "crash_check: %.*s wants a non-negative integer, "
+                     "got '%s'\n",
+                     static_cast<int>(prefix - 1), arg.c_str(), s);
+        return false;
+    }
+    out = static_cast<unsigned>(v);
+    return true;
+}
+
 bool
 parseArgs(int argc, char **argv, Options &opt)
 {
@@ -86,15 +110,15 @@ parseArgs(int argc, char **argv, Options &opt)
         if (a == "--help" || a == "-h") {
             return false;
         } else if (a.rfind("--depth=", 0) == 0) {
-            opt.depth = static_cast<unsigned>(
-                std::strtoul(a.c_str() + 8, nullptr, 10));
+            if (!parseUnsigned(a, 8, opt.depth))
+                return false;
         } else if (a == "--prefix-only") {
             opt.prefixOnly = true;
         } else if (a == "--torn") {
             opt.torn = true;
         } else if (a.rfind("--sim-threads=", 0) == 0) {
-            opt.simThreads = static_cast<unsigned>(
-                std::strtoul(a.c_str() + 14, nullptr, 10));
+            if (!parseUnsigned(a, 14, opt.simThreads))
+                return false;
         } else if (a.rfind("--json=", 0) == 0) {
             opt.jsonPath = a.substr(7);
         } else if (a == "--list") {
