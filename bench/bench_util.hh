@@ -36,7 +36,9 @@
 #ifndef PMEMSPEC_BENCH_BENCH_UTIL_HH
 #define PMEMSPEC_BENCH_BENCH_UTIL_HH
 
+#include <cerrno>
 #include <cstdarg>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -52,6 +54,40 @@
 
 namespace pmemspec::bench
 {
+
+/**
+ * Parse a decimal count strictly: digits only -- no sign, no blank,
+ * no trailing characters -- and at most `max`, so nothing wraps or
+ * saturates.
+ */
+inline bool
+parseDecimal(const std::string &s, std::uint64_t &out,
+             std::uint64_t max = UINT64_MAX)
+{
+    if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos)
+        return false;
+    errno = 0;
+    const unsigned long long v = std::strtoull(s.c_str(), nullptr, 10);
+    if (errno == ERANGE || v > max)
+        return false;
+    out = v;
+    return true;
+}
+
+/** A count flag's value (0 allowed) parsed by parseDecimal; anything
+ *  else exits 1 with "<prog>: <flag> wants an integer, got '<s>'". */
+inline std::uint64_t
+parseCount(const char *prog, const char *flag, const std::string &s,
+           std::uint64_t max = UINT64_MAX)
+{
+    std::uint64_t v = 0;
+    if (!parseDecimal(s, v, max)) {
+        std::fprintf(stderr, "%s: %s wants an integer, got '%s'\n", prog,
+                     flag, s.c_str());
+        std::exit(1);
+    }
+    return v;
+}
 
 /** Default FASEs per thread (the paper runs 100K; throughput is
  *  steady-state, so a few hundred per thread give the same shape in
@@ -110,24 +146,23 @@ struct BenchOptions
             if (arg == "--help" || arg == "-h") {
                 usageExit(argv[0], 0, nullptr);
             } else if (arg == "--ops") {
-                opt.ops = parseCount(argv[0], "--ops",
-                                     value("--ops").c_str());
+                opt.ops = parsePositive(argv[0], "--ops",
+                                        value("--ops").c_str());
             } else if (arg == "--jobs") {
-                opt.jobs = static_cast<unsigned>(parseCount(
-                    argv[0], "--jobs", value("--jobs").c_str()));
+                opt.jobs = static_cast<unsigned>(
+                    parsePositive(argv[0], "--jobs",
+                                  value("--jobs").c_str(), UINT_MAX));
             } else if (arg == "--sim-threads") {
                 // 0 is meaningful here (= hardware concurrency), so
-                // this flag bypasses parseCount's positivity check.
+                // this flag bypasses parsePositive's positivity check.
                 const std::string v = value("--sim-threads");
-                if (v.empty() ||
-                    v.find_first_not_of("0123456789") !=
-                        std::string::npos)
+                std::uint64_t n = 0;
+                if (!parseDecimal(v, n, UINT_MAX))
                     usageExit(argv[0], 1,
                               "--sim-threads wants a non-negative "
                               "integer, got '%s'",
                               v.c_str());
-                opt.simThreads = static_cast<unsigned>(
-                    std::strtoull(v.c_str(), nullptr, 10));
+                opt.simThreads = static_cast<unsigned>(n);
             } else if (arg == "--json") {
                 opt.jsonPath = value("--json");
             } else if (arg == "--designs") {
@@ -142,7 +177,7 @@ struct BenchOptions
             } else if (arg == "--trace-out") {
                 opt.trace.outPath = value("--trace-out");
             } else if (arg == "--trace-ring") {
-                opt.trace.ringEntries = parseCount(
+                opt.trace.ringEntries = parsePositive(
                     argv[0], "--trace-ring",
                     value("--trace-ring").c_str());
             } else if (arg == "--flight-recorder") {
@@ -152,13 +187,13 @@ struct BenchOptions
             } else if (arg == "--metrics-interval-us") {
                 opt.metrics.sample = true;
                 opt.metrics.interval = nsToTicks(1000.0) *
-                    parseCount(argv[0], "--metrics-interval-us",
-                               value("--metrics-interval-us").c_str());
+                    parsePositive(argv[0], "--metrics-interval-us",
+                                  value("--metrics-interval-us").c_str());
             } else if (i == 1 && !arg.empty() &&
                        arg.find_first_not_of("0123456789") ==
                            std::string::npos) {
                 // Backward compatible bare ops_per_thread position.
-                opt.ops = parseCount(argv[0], "ops", argv[i]);
+                opt.ops = parsePositive(argv[0], "ops", argv[i]);
             } else {
                 usageExit(argv[0], 1, "unknown argument '%s'",
                           arg.c_str());
@@ -228,14 +263,14 @@ struct BenchOptions
     }
 
     static std::uint64_t
-    parseCount(const char *prog, const char *flag, const char *s)
+    parsePositive(const char *prog, const char *flag, const char *s,
+                  std::uint64_t max = UINT64_MAX)
     {
-        char *end = nullptr;
-        const unsigned long long v = std::strtoull(s, &end, 10);
-        if (!end || *end != '\0' || v == 0)
+        std::uint64_t v = 0;
+        if (!parseDecimal(s, v, max) || v == 0)
             usageExit(prog, 1, "%s wants a positive integer, got '%s'",
                       flag, s);
-        return static_cast<std::uint64_t>(v);
+        return v;
     }
 
     static std::vector<persistency::Design>

@@ -34,6 +34,7 @@
 #include "service/service.hh"
 
 using namespace pmemspec;
+using bench::parseCount;
 using service::FaultEvent;
 using service::ServiceConfig;
 using service::ServiceFault;
@@ -68,19 +69,6 @@ usageExit(const char *prog, int code)
         "         injected fault (per design)\n",
         prog);
     std::exit(code);
-}
-
-std::uint64_t
-parseCount(const char *prog, const char *flag, const std::string &s)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (!end || *end != '\0') {
-        std::fprintf(stderr, "%s: %s wants an integer, got '%s'\n",
-                     prog, flag, s.c_str());
-        std::exit(1);
-    }
-    return static_cast<std::uint64_t>(v);
 }
 
 bool
@@ -130,8 +118,9 @@ parseFaults(const char *prog, const std::string &list)
                          prog, spec.c_str());
             std::exit(1);
         }
-        ev.shard = static_cast<unsigned>(parseCount(
-            prog, "fault shard", spec.substr(c1 + 1, c2 - c1 - 1)));
+        ev.shard = static_cast<unsigned>(
+            parseCount(prog, "fault shard",
+                       spec.substr(c1 + 1, c2 - c1 - 1), UINT_MAX));
         ev.at = nsToTicks(1000.0 * static_cast<double>(parseCount(
                               prog, "fault at_us",
                               spec.substr(c2 + 1))));
@@ -227,10 +216,10 @@ main(int argc, char **argv)
                            value("--duration-us"))));
         } else if (arg == "--shards") {
             base.shards = static_cast<unsigned>(parseCount(
-                argv[0], "--shards", value("--shards")));
+                argv[0], "--shards", value("--shards"), UINT_MAX));
         } else if (arg == "--clients") {
             base.clients = static_cast<unsigned>(parseCount(
-                argv[0], "--clients", value("--clients")));
+                argv[0], "--clients", value("--clients"), UINT_MAX));
         } else if (arg == "--keys") {
             base.keySpace = parseCount(argv[0], "--keys",
                                        value("--keys"));
@@ -255,10 +244,11 @@ main(int argc, char **argv)
             gateSlo = true;
         } else if (arg == "--jobs") {
             jobs = static_cast<unsigned>(parseCount(
-                argv[0], "--jobs", value("--jobs")));
+                argv[0], "--jobs", value("--jobs"), UINT_MAX));
         } else if (arg == "--sim-threads") {
-            base.simThreads = static_cast<unsigned>(parseCount(
-                argv[0], "--sim-threads", value("--sim-threads")));
+            base.simThreads = static_cast<unsigned>(
+                parseCount(argv[0], "--sim-threads",
+                           value("--sim-threads"), UINT_MAX));
         } else if (arg == "--json") {
             jsonPath = value("--json");
         } else if (arg == "--designs") {

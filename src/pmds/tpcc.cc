@@ -43,6 +43,7 @@ TpccDb::TpccDb(runtime::PersistentMemory &pm_, const TpccConfig &cfg_)
     orderLines =
         pm.alloc(std::size_t{cfg.maxOrders} * 16 * rowBytes, 64);
     newOrders = pm.alloc(std::size_t{cfg.maxOrders} * 8, 64);
+    // bytesFor() below must sum exactly these regions.
 
     // Populate (setup phase).
     pm.writeU64(warehouse + offWTax, 7);
@@ -63,6 +64,17 @@ TpccDb::TpccDb(runtime::PersistentMemory &pm_, const TpccConfig &cfg_)
         pm.writeU64(stockAddr(i) + offSOrderCnt, 0);
     }
     pm.persistAll();
+}
+
+std::size_t
+TpccDb::bytesFor(const TpccConfig &cfg)
+{
+    auto region = [](std::size_t n) { return (n + 63) / 64 * 64; };
+    const std::size_t orders = cfg.maxOrders;
+    return region(rowBytes) + region(cfg.districts * rowBytes) +
+           region(cfg.districts * cfg.customersPerDistrict * rowBytes) +
+           2 * region(cfg.items * rowBytes) + region(orders * rowBytes) +
+           region(orders * 16 * rowBytes) + region(orders * 8);
 }
 
 Addr

@@ -47,6 +47,10 @@ class TpccDb
   public:
     TpccDb(runtime::PersistentMemory &pm, const TpccConfig &cfg);
 
+    /** Arena bytes the constructor allocates for `cfg`: its regions,
+     *  each rounded up to the 64-byte alignment it is allocated at. */
+    static std::size_t bytesFor(const TpccConfig &cfg);
+
     /**
      * The NEW_ORDER transaction.
      * @return the order id assigned.

@@ -2,6 +2,8 @@
 
 #include <atomic>
 
+#include <sys/mman.h>
+
 #include "common/logging.hh"
 
 namespace pmemspec::runtime
@@ -18,6 +20,9 @@ wordAlign(Addr a)
     return a & ~(wordBytes - 1);
 }
 
+/** What every byte past a snapshot's images holds. */
+constexpr std::uint8_t zeroBlock[blockBytes] = {};
+
 /** Snapshot identities are process-unique, so a snapshot of one PM
  *  restored into another can never pass for the receiver's base. */
 std::uint64_t
@@ -29,10 +34,40 @@ freshSnapshotId()
 
 } // namespace
 
+PersistentMemory::ZeroPages::ZeroPages(std::size_t n) : len(n)
+{
+    void *p = mmap(nullptr, n, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    fatal_if(p == MAP_FAILED, "cannot map a %zu-byte PM image", n);
+    bytes = static_cast<std::uint8_t *>(p);
+}
+
+PersistentMemory::ZeroPages::ZeroPages(const ZeroPages &o,
+                                       std::size_t prefix)
+    : ZeroPages(o.len)
+{
+    std::memcpy(bytes, o.bytes, prefix);
+}
+
+PersistentMemory::ZeroPages::~ZeroPages()
+{
+    munmap(bytes, len);
+}
+
 PersistentMemory::PersistentMemory(std::size_t bytes)
-    : volatileImg(bytes, 0), persistedImg(bytes, 0)
+    : volatileImg(bytes), persistedImg(bytes)
 {
     fatal_if(bytes < 1024, "PM space of %zu bytes is too small", bytes);
+}
+
+PersistentMemory::PersistentMemory(const PersistentMemory &o)
+    : volatileImg(o.volatileImg, o.top),
+      persistedImg(o.persistedImg, o.top), top(o.top),
+      inFlight(o.inFlight), poisoned(o.poisoned), brk(o.brk),
+      nextSpec(o.nextSpec), observer(o.observer), tracking(o.tracking),
+      marked(o.marked), changed(o.changed), baseId(o.baseId),
+      baseAgrees(o.baseAgrees), work(o.work)
+{
 }
 
 void
@@ -207,10 +242,12 @@ PersistentMemory::snapshot()
 void
 PersistentMemory::snapshot(Snapshot &into)
 {
-    if (tracking && into.id == baseId &&
-        into.volatileImg.size() == volatileImg.size()) {
+    if (tracking && into.id == baseId && into.space == size()) {
         // `into` holds the base: only the changed blocks moved, and
-        // only they can have broken an agreement the base had.
+        // only they can have broken an agreement the base had. They
+        // all lie below `top`; past the base's length it held zeros.
+        into.volatileImg.resize(top);
+        into.persistedImg.resize(top);
         for (Addr b : changed) {
             const std::size_t n = blockSpan(b);
             std::memcpy(into.volatileImg.data() + b,
@@ -220,10 +257,13 @@ PersistentMemory::snapshot(Snapshot &into)
         }
         work += 2 * changed.size();
     } else {
-        into.volatileImg = volatileImg;
-        into.persistedImg = persistedImg;
-        work += 2 * numBlocks();
+        into.volatileImg.assign(volatileImg.data(),
+                                volatileImg.data() + top);
+        into.persistedImg.assign(persistedImg.data(),
+                                 persistedImg.data() + top);
+        work += 2 * blocksBelow(top);
     }
+    into.space = size();
     into.imagesAgree = imagesAgree();
     into.inFlight = inFlight;
     into.poisoned = poisoned;
@@ -232,7 +272,7 @@ PersistentMemory::snapshot(Snapshot &into)
     into.id = freshSnapshotId();
     if (!tracking) {
         tracking = true;
-        marked.assign(numBlocks(), 0);
+        marked.assign(blocksBelow(size()), 0);
     }
     rebase(into.id, into.imagesAgree);
 }
@@ -240,23 +280,35 @@ PersistentMemory::snapshot(Snapshot &into)
 void
 PersistentMemory::restore(const Snapshot &s)
 {
-    panic_if(s.volatileImg.size() != volatileImg.size(),
+    panic_if(s.space != size(),
              "snapshot of a %zu-byte space restored into %zu bytes",
-             s.volatileImg.size(), volatileImg.size());
+             s.space, size());
+    const std::size_t len = s.volatileImg.size();
     if (tracking && s.id == baseId) {
+        // A changed block past the base's length held zeros in it.
         for (Addr b : changed) {
             const std::size_t n = blockSpan(b);
+            const bool inBase = b < len;
             std::memcpy(volatileImg.data() + b,
-                        s.volatileImg.data() + b, n);
+                        inBase ? s.volatileImg.data() + b : zeroBlock, n);
             std::memcpy(persistedImg.data() + b,
-                        s.persistedImg.data() + b, n);
+                        inBase ? s.persistedImg.data() + b : zeroBlock,
+                        n);
         }
         work += 2 * changed.size();
     } else {
-        volatileImg = s.volatileImg;
-        persistedImg = s.persistedImg;
-        work += 2 * numBlocks();
+        if (len) {
+            std::memcpy(volatileImg.data(), s.volatileImg.data(), len);
+            std::memcpy(persistedImg.data(), s.persistedImg.data(), len);
+        }
+        if (top > len) {
+            std::memset(volatileImg.data() + len, 0, top - len);
+            std::memset(persistedImg.data() + len, 0, top - len);
+        }
+        work += 2 * blocksBelow(std::max(len, top));
     }
+    // Past `len` both images are now zero.
+    top = len;
     inFlight = s.inFlight;
     poisoned = s.poisoned;
     brk = s.brk;
@@ -322,18 +374,17 @@ PersistentMemory::imagesAgree() const
         }
         return true;
     }
-    work += numBlocks();
-    return std::memcmp(volatileImg.data(), persistedImg.data(),
-                       volatileImg.size()) == 0;
+    work += blocksBelow(top);
+    return std::memcmp(volatileImg.data(), persistedImg.data(), top) == 0;
 }
 
 bool
 PersistentMemory::persistedEquals(const Snapshot &base,
                                   const BlockSnapshot &delta) const
 {
-    panic_if(base.persistedImg.size() != persistedImg.size(),
+    panic_if(base.space != size(),
              "snapshot of a %zu-byte space compared with %zu bytes",
-             base.persistedImg.size(), persistedImg.size());
+             base.space, size());
     work += delta.blocks.size();
     for (std::size_t i = 0; i < delta.blocks.size(); ++i) {
         const Addr b = delta.blocks[i];
@@ -342,8 +393,10 @@ PersistentMemory::persistedEquals(const Snapshot &base,
                         blockSpan(b)) != 0)
             return false;
     }
-    // Every other block must equal the base: when `base` is the base,
-    // only the changed blocks can differ from it.
+    // Every other block must equal the base (zero past its length):
+    // when `base` is the base, only the changed blocks can differ
+    // from it.
+    const std::size_t len = base.persistedImg.size();
     auto inDelta = [&](Addr b) {
         return std::binary_search(delta.blocks.begin(),
                                   delta.blocks.end(), b);
@@ -351,7 +404,8 @@ PersistentMemory::persistedEquals(const Snapshot &base,
     auto baseBlockEqual = [&](Addr b) {
         return inDelta(b) ||
                std::memcmp(persistedImg.data() + b,
-                           base.persistedImg.data() + b,
+                           b < len ? base.persistedImg.data() + b
+                                   : zeroBlock,
                            blockSpan(b)) == 0;
     };
     if (tracking && base.id == baseId) {
@@ -359,8 +413,10 @@ PersistentMemory::persistedEquals(const Snapshot &base,
         return std::all_of(changed.begin(), changed.end(),
                            baseBlockEqual);
     }
-    work += numBlocks();
-    for (Addr b = 0; b < persistedImg.size(); b += blockBytes)
+    // Past both lengths the two images are zero.
+    const std::size_t end = std::max(len, top);
+    work += blocksBelow(end);
+    for (Addr b = 0; b < end; b += blockBytes)
         if (!baseBlockEqual(b))
             return false;
     return true;
@@ -379,7 +435,7 @@ void
 PersistentMemory::reboot()
 {
     if (!tracking) {
-        volatileImg = persistedImg;
+        std::memcpy(volatileImg.data(), persistedImg.data(), top);
         return;
     }
     if (baseAgrees) {
@@ -391,9 +447,10 @@ PersistentMemory::reboot()
         work += changed.size();
         return;
     }
-    // The base disagreed somewhere unknown: walk the whole space and
-    // mark every block the copy changes, so the tracking stays exact.
-    for (Addr b = 0; b < volatileImg.size(); b += blockBytes) {
+    // The base disagreed somewhere unknown: walk every block below
+    // `top` and mark every block the copy changes, so the tracking
+    // stays exact.
+    for (Addr b = 0; b < top; b += blockBytes) {
         const std::size_t n = blockSpan(b);
         if (std::memcmp(volatileImg.data() + b, persistedImg.data() + b,
                         n) != 0) {
@@ -402,7 +459,7 @@ PersistentMemory::reboot()
             mark(b, n);
         }
     }
-    work += numBlocks();
+    work += blocksBelow(top);
 }
 
 void
@@ -516,8 +573,8 @@ PersistentMemory::corruptWord(Addr a, std::uint64_t xor_mask)
     for (unsigned b = 0; b < wordBytes; ++b) {
         const auto flip =
             static_cast<std::uint8_t>(xor_mask >> (8 * b));
-        volatileImg[w + b] ^= flip;
-        persistedImg[w + b] ^= flip;
+        volatileImg.data()[w + b] ^= flip;
+        persistedImg.data()[w + b] ^= flip;
     }
     mark(w, wordBytes);
 }

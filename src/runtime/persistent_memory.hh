@@ -32,6 +32,10 @@
  *
  * An observer hook reports every access so the workload layer can
  * record logical traces while the program runs.
+ *
+ * Storage costs what the program touched, not the declared space: the
+ * images are lazily zeroed pages, and a high-water mark bounds every
+ * whole-image copy, compare and reboot (see `top` below).
  */
 
 #ifndef PMEMSPEC_RUNTIME_PERSISTENT_MEMORY_HH
@@ -76,14 +80,24 @@ class PersistentMemory
   public:
     using Observer = std::function<void(MemOp, Addr, std::uint32_t)>;
 
+    /** Bytes below the first allocation: address 0 stays unmapped
+     *  (null guard). An arena of n bytes needs a space of
+     *  reservedBytes + n. */
+    static constexpr std::size_t reservedBytes = 64;
+
     /** @param bytes Size of the PM address space. */
     explicit PersistentMemory(std::size_t bytes);
+
+    /** A copy of the whole state; copies only the bytes below the
+     *  high-water mark. */
+    PersistentMemory(const PersistentMemory &o);
+    PersistentMemory &operator=(const PersistentMemory &) = delete;
 
     /** Bump-allocate a region; never freed (arena style). */
     Addr alloc(std::size_t n, std::size_t align = 8);
 
     /** Bytes remaining in the arena. */
-    std::size_t remaining() const { return volatileImg.size() - brk; }
+    std::size_t remaining() const { return size() - brk; }
 
     /** Total size of the address space. */
     std::size_t size() const { return volatileImg.size(); }
@@ -216,11 +230,14 @@ class PersistentMemory
      * survives restore(). Opaque: only the PM that holds it as its
      * base may rewind to it by changed blocks (see the tracking
      * contract below), which needs its contents to be the ones that
-     * snapshot() wrote.
+     * snapshot() wrote. The images hold the bytes below the
+     * high-water mark; every byte past them was zero.
      */
     class Snapshot
     {
         friend class PersistentMemory;
+        /** Size of the PM space the snapshot was taken of. */
+        std::size_t space = 0;
         std::vector<std::uint8_t> volatileImg;
         std::vector<std::uint8_t> persistedImg;
         std::deque<Pending> inFlight;
@@ -261,7 +278,9 @@ class PersistentMemory
      * oracle compares then cost O(changed blocks) instead of O(PM).
      * Anything else -- restoring another snapshot, or a base whose
      * two images differed -- takes the whole-image path, so every
-     * result is exact regardless of how the caller uses it.
+     * result is exact regardless of how the caller uses it. The
+     * whole-image path covers the bytes below the high-water mark
+     * only: past it both images are zero.
      */
 
     /** Take a full snapshot; it becomes the base. */
@@ -320,11 +339,16 @@ class PersistentMemory
     /** Reboot: the volatile image becomes a copy of the persisted
      *  one. */
     void reboot();
-    /** Record [a, a+n) as changed since the base (tracking only). */
+    /** Record a write to [a, a+n): raise the high-water mark over
+     *  it and, when tracking, mark its blocks changed since the
+     *  base. Every image mutator calls this. */
     void
     mark(Addr a, std::size_t n)
     {
-        if (!tracking || n == 0)
+        if (n == 0)
+            return;
+        top = std::max(top, blockEnd(a + n));
+        if (!tracking)
             return;
         for (Addr b = a / blockBytes; b <= (a + n - 1) / blockBytes;
              ++b) {
@@ -342,17 +366,54 @@ class PersistentMemory
     {
         return std::min<std::size_t>(blockBytes, volatileImg.size() - b);
     }
-    std::size_t numBlocks() const
+    /** `end` rounded up to a block boundary, capped at the space. */
+    std::size_t
+    blockEnd(std::size_t end) const
     {
-        return (volatileImg.size() + blockBytes - 1) / blockBytes;
+        return std::min<std::size_t>(
+            (end + blockBytes - 1) / blockBytes * blockBytes, size());
     }
+    /** Blocks in [0, end). */
+    static std::uint64_t
+    blocksBelow(std::size_t end)
+    {
+        return (end + blockBytes - 1) / blockBytes;
+    }
+    /**
+     * Zero-initialised bytes that cost memory only where written: an
+     * anonymous private mapping, unmapped on destruction. Untouched
+     * pages are never backed, however the allocator would have
+     * served a vector of the same size.
+     */
+    class ZeroPages
+    {
+      public:
+        explicit ZeroPages(std::size_t bytes);
+        /** A copy of `o`'s first `prefix` bytes; the rest is zero. */
+        ZeroPages(const ZeroPages &o, std::size_t prefix);
+        ~ZeroPages();
+        ZeroPages(const ZeroPages &) = delete;
+        ZeroPages &operator=(const ZeroPages &) = delete;
 
-    std::vector<std::uint8_t> volatileImg;
-    std::vector<std::uint8_t> persistedImg;
+        std::uint8_t *data() { return bytes; }
+        const std::uint8_t *data() const { return bytes; }
+        std::size_t size() const { return len; }
+
+      private:
+        std::uint8_t *bytes;
+        std::size_t len;
+    };
+
+    ZeroPages volatileImg;
+    ZeroPages persistedImg;
+    /** High-water mark: the block-rounded end of the highest byte any
+     *  mutator has written. Every byte at or past it is zero in both
+     *  images, so whole-image work stops here. */
+    std::size_t top = 0;
     std::deque<Pending> inFlight;
     /** Word-aligned base addresses of uncorrectable words. */
     std::set<Addr> poisoned;
-    std::size_t brk = 64; ///< address 0 stays unmapped (null guard)
+    std::size_t brk = reservedBytes;
     /** Store-order id the next queued persist receives. */
     SpecId nextSpec = 1;
     Observer observer;

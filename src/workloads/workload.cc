@@ -59,12 +59,15 @@ namespace
 /** Shared scaffolding: PM + OS + runtime + recorder. */
 struct GenContext
 {
+    /** Undo-log region of each thread. */
+    static constexpr std::size_t logBytesPerThread = 1 << 16;
+
     GenContext(std::size_t pm_bytes, unsigned num_threads,
                std::uint64_t seed,
                runtime::LogGranularity granularity =
                    runtime::LogGranularity::Block)
         : pm(pm_bytes),
-          rt(pm, os, num_threads, RecoveryPolicy::Lazy, 1 << 16,
+          rt(pm, os, num_threads, RecoveryPolicy::Lazy, logBytesPerThread,
              granularity),
           rng(seed)
     {
@@ -314,7 +317,9 @@ genTpcc(const WorkloadParams &p)
     tc.maxOrders = static_cast<unsigned>(
         tc.districts * (p.opsPerThread + 64));
     const std::size_t pm_bytes =
-        std::size_t{tc.maxOrders} * 64 * 6 + (48u << 20);
+        PersistentMemory::reservedBytes +
+        p.numThreads * GenContext::logBytesPerThread +
+        pmds::TpccDb::bytesFor(tc);
     GenContext ctx(pm_bytes, p.numThreads, p.seed);
     pmds::TpccDb db(ctx.pm, tc);
     ctx.startRecording(p.numThreads);

@@ -245,12 +245,14 @@ TEST(CrashExplorer, ParallelMatchesSequentialOnPassingWorkloads)
 {
     // Per-op domain parallelism with reorder + torn exploration on:
     // every counter and message of the merged result must equal the
-    // sequential explorer's, at any thread count.
+    // sequential explorer's, at any thread count, on every crash
+    // workload (each replica builds its own PM storage).
     ExploreOptions opts;
     opts.reorderings = true;
     opts.windowDepth = 4;
     opts.tornWrites = true;
-    for (const char *name : {"pm_array", "pm_queue"}) {
+    for (const auto &w : faultinject::makeAllWorkloads()) {
+        const std::string name = w->name();
         const auto factory = workloadFactory(name);
         ASSERT_TRUE(factory) << name;
         auto wl = factory();
@@ -258,8 +260,7 @@ TEST(CrashExplorer, ParallelMatchesSequentialOnPassingWorkloads)
         for (unsigned threads : {2u, 4u}) {
             const ExploreResult par =
                 exploreCrashPointsParallel(factory, opts, threads);
-            SCOPED_TRACE(std::string(name) + " threads=" +
-                         std::to_string(threads));
+            SCOPED_TRACE(name + " threads=" + std::to_string(threads));
             expectSameResult(seq, par);
             EXPECT_TRUE(par.passed());
         }

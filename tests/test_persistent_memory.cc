@@ -221,6 +221,171 @@ TEST(PersistentMemory, RestoreOfMismatchedSnapshotPanics)
     EXPECT_DEATH(big.restore(snap), "snapshot");
 }
 
+TEST(PersistentMemory, ComparingAMismatchedSnapshotPanics)
+{
+    PersistentMemory small(1 << 12);
+    PersistentMemory big(1 << 16);
+    const auto snap = small.snapshot();
+    PersistentMemory::BlockSnapshot none;
+    big.snapshotBlocks({}, none);
+    EXPECT_DEATH(big.persistedEquals(snap, none), "snapshot");
+}
+
+// ---- Lazily zeroed images below a high-water mark ----
+
+namespace
+{
+
+bool
+allZero(const std::uint8_t *p, std::size_t n)
+{
+    return std::all_of(p, p + n, [](std::uint8_t b) { return b == 0; });
+}
+
+} // namespace
+
+TEST(PersistentMemoryStorage, FreshSpaceReadsZeroEverywhere)
+{
+    const std::size_t bytes = (1 << 20) + 40;
+    PersistentMemory pm(bytes);
+    EXPECT_TRUE(allZero(pm.volatileImage(), bytes));
+    EXPECT_TRUE(allZero(pm.persistedImage(), bytes));
+    EXPECT_EQ(pm.readU64(8), 0u);
+    EXPECT_EQ(pm.readU64(bytes / 2), 0u);
+    EXPECT_EQ(pm.readU64(bytes - 8), 0u);
+
+    // Nothing written: snapshot, restore, compare and reboot have no
+    // block to touch, and a copy reads zero too.
+    const auto snap = pm.snapshot();
+    pm.restore(snap);
+    EXPECT_TRUE(pm.imagesAgree());
+    pm.crash(0);
+    EXPECT_EQ(pm.blockWork(), 0u);
+    const PersistentMemory copy = pm;
+    EXPECT_TRUE(allZero(copy.volatileImage(), bytes));
+    EXPECT_TRUE(allZero(copy.persistedImage(), bytes));
+}
+
+TEST(PersistentMemoryStorage, RestoreZeroesTheTailPastAShorterSnapshot)
+{
+    const std::size_t bytes = 1 << 16;
+    PersistentMemory pm(bytes);
+    const Addr low = pm.alloc(8, 64);
+    pm.writeU64(low, 1);
+    pm.persistAll();
+    const auto shortSnap = pm.snapshot();
+
+    auto writeHigh = [&] {
+        pm.writeU64(bytes / 2, 2);
+        pm.writeU64(bytes - 8, 3);
+        pm.persistAll();
+        const std::uint8_t v[4] = {4, 4, 4, 4};
+        pm.overlayDurable(bytes - 100, v, sizeof(v));
+        pm.corruptWord(bytes - 200, 0xff);
+        pm.writeU64(bytes - 300, 5); // left in flight
+    };
+    auto expectRewound = [&](const PersistentMemory &m) {
+        EXPECT_EQ(m.readU64(low), 1u);
+        EXPECT_EQ(m.inFlightCount(), 0u);
+        EXPECT_TRUE(allZero(m.volatileImage() + low + 8, bytes - low - 8));
+        EXPECT_TRUE(
+            allZero(m.persistedImage() + low + 8, bytes - low - 8));
+    };
+
+    // The base: its changed blocks past its length are rewound to
+    // zero.
+    writeHigh();
+    pm.restore(shortSnap);
+    expectRewound(pm);
+
+    // Not the base: the whole-image path zeroes [length, mark).
+    writeHigh();
+    const auto tallSnap = pm.snapshot();
+    pm.restore(shortSnap);
+    expectRewound(pm);
+
+    // A foreign PM's short snapshot over a tall one.
+    PersistentMemory other(bytes);
+    other.restore(tallSnap);
+    EXPECT_EQ(other.readU64(bytes - 8), 3u);
+    other.restore(shortSnap);
+    expectRewound(other);
+}
+
+TEST(PersistentMemoryStorage, PersistedEqualsWithABaseShorterThanTheMark)
+{
+    const std::size_t bytes = 1 << 16;
+    PersistentMemory pm(bytes);
+    const Addr low = pm.alloc(8, 64);
+    pm.writeU64(low, 1);
+    pm.persistAll();
+    const auto base = pm.snapshot();
+
+    pm.writeU64(bytes - 8, 2);
+    pm.persistAll();
+    PersistentMemory::BlockSnapshot withHigh;
+    pm.snapshotBlocks({blockAlign(bytes - 8)}, withHigh);
+    PersistentMemory::BlockSnapshot withoutHigh;
+    pm.snapshotBlocks({}, withoutHigh);
+
+    // Base path: the changed block past the base's length compares
+    // with zero.
+    EXPECT_TRUE(pm.persistedEquals(base, withHigh));
+    EXPECT_FALSE(pm.persistedEquals(base, withoutHigh));
+
+    // Whole-image path (`base` is no longer the base): the compare
+    // runs up to the larger of the mark and the base's length.
+    auto later = pm.snapshot();
+    (void)later;
+    EXPECT_TRUE(pm.persistedEquals(base, withHigh));
+    EXPECT_FALSE(pm.persistedEquals(base, withoutHigh));
+
+    // And a base longer than the mark: past the mark PM is zero.
+    PersistentMemory shortPm(bytes);
+    EXPECT_FALSE(shortPm.persistedEquals(base, withoutHigh));
+    shortPm.writeU64(low, 1);
+    shortPm.persistAll();
+    EXPECT_TRUE(shortPm.persistedEquals(base, withoutHigh));
+}
+
+TEST(PersistentMemoryStorage, CopyConstructorCopiesTheWholeState)
+{
+    const std::size_t bytes = 1 << 16;
+    PersistentMemory pm(bytes);
+    const Addr a = pm.alloc(8, 64);
+    pm.writeU64(a, 1);
+    pm.persistAll();
+    const auto base = pm.snapshot();
+    pm.writeU64(bytes - 8, 2); // in flight, at the last block
+    pm.poisonWord(a);
+
+    PersistentMemory copy = pm;
+    EXPECT_EQ(std::memcmp(copy.volatileImage(), pm.volatileImage(), bytes),
+              0);
+    EXPECT_EQ(
+        std::memcmp(copy.persistedImage(), pm.persistedImage(), bytes), 0);
+    EXPECT_EQ(copy.inFlightCount(), 1u);
+    EXPECT_TRUE(copy.isPoisoned(a));
+    EXPECT_EQ(copy.remaining(), pm.remaining());
+    EXPECT_EQ(copy.changedBlocks(), pm.changedBlocks());
+
+    // Independent storage: the copy's writes and crash leave the
+    // original alone, and the copy still rewinds its base by blocks.
+    copy.clearPoison(a);
+    copy.writeU64(a, 9);
+    copy.crash(1);
+    EXPECT_EQ(copy.readU64(bytes - 8), 2u);
+    EXPECT_EQ(pm.readU64(bytes - 8), 2u);
+    EXPECT_EQ(pm.inFlightCount(), 1u);
+    EXPECT_TRUE(pm.isPoisoned(a));
+    ASSERT_EQ(copy.changedBlocks().size(), 2u);
+    const std::uint64_t w = copy.blockWork();
+    copy.restore(base);
+    EXPECT_EQ(copy.blockWork() - w, 4u);
+    EXPECT_EQ(copy.readU64(a), 1u);
+    EXPECT_EQ(copy.readU64(bytes - 8), 0u);
+}
+
 // ---- Block tracking ----
 
 namespace
@@ -291,8 +456,12 @@ TEST(PersistentMemoryTracking, MatchesFullCopyModelUnderRandomMutations)
         Rng rng(seed);
         PersistentMemory pm(bytes);
 
+        // Random accesses stay below `reach`, so the high-water mark
+        // starts low and snapshots are taken at different marks; case
+        // 13 writes past it and at the last block of the space.
+        const std::size_t reach = 640 + rng.below(bytes / 2);
         auto randomAddr = [&](std::size_t n) {
-            return static_cast<Addr>(64 + rng.below(bytes - 64 - n + 1));
+            return static_cast<Addr>(64 + rng.below(reach - 64 - n + 1));
         };
         auto randomBytes = [&](std::size_t n) {
             std::vector<std::uint8_t> v(n);
@@ -357,7 +526,7 @@ TEST(PersistentMemoryTracking, MatchesFullCopyModelUnderRandomMutations)
 
         for (int step = 0; step < 150; ++step) {
             SCOPED_TRACE(step);
-            switch (rng.below(13)) {
+            switch (rng.below(14)) {
               case 0:
               case 1:
                 randomWrite(false);
@@ -392,6 +561,8 @@ TEST(PersistentMemoryTracking, MatchesFullCopyModelUnderRandomMutations)
                 } else {
                     for (int i = 0; i < 6; ++i)
                         blocks.push_back(blockAlign(randomAddr(1)));
+                    if (rng.chance(0.3))
+                        blocks.push_back(blockAlign(bytes - 1));
                 }
                 std::sort(blocks.begin(), blocks.end());
                 blocks.erase(std::unique(blocks.begin(), blocks.end()),
@@ -444,6 +615,32 @@ TEST(PersistentMemoryTracking, MatchesFullCopyModelUnderRandomMutations)
                 pm.restore(snaps[i].s);
                 ASSERT_TRUE(sameImages(pm, snaps[i].img));
                 cur = i;
+                break;
+              }
+              case 13: {
+                // Past every random access (above the mark unless a
+                // case-13 write already raised it), or ending at the
+                // last byte of the space.
+                const std::size_t n = 8 * (1 + rng.below(8));
+                const Addr a = rng.chance(0.5)
+                                   ? bytes - n
+                                   : reach + 8 * rng.below(
+                                                 (bytes - n - reach) / 8);
+                const auto v = randomBytes(n);
+                switch (rng.below(4)) {
+                  case 0:
+                    pm.write(a, v.data(), n);
+                    break;
+                  case 1:
+                    pm.writeOrdered(a, v.data(), n);
+                    break;
+                  case 2:
+                    pm.overlayDurable(a, v.data(), n);
+                    break;
+                  case 3:
+                    pm.corruptWord(a + n - 8, rng.next());
+                    break;
+                }
                 break;
               }
             }
@@ -507,14 +704,17 @@ TEST(PersistentMemoryTracking, MatchesFullCopyModelUnderRandomMutations)
 TEST(PersistentMemoryTracking, BaseRewindCostsOnlyTheChangedBlocks)
 {
     PersistentMemory pm(1 << 20);
-    const std::uint64_t space = (1 << 20) / blockBytes;
     const Addr a = pm.alloc(256, 64);
     pm.writeU64(a, 1);
     pm.persistAll();
 
+    // The first snapshot copies both images and compares them, but
+    // only below the high-water mark: the null-guard block and a's.
+    const std::uint64_t belowTop = (a + blockBytes) / blockBytes;
+    ASSERT_EQ(belowTop, 2u);
     std::uint64_t w = pm.blockWork();
-    auto pre = pm.snapshot(); // whole: copy two images, compare them
-    EXPECT_EQ(pm.blockWork() - w, 3 * space);
+    auto pre = pm.snapshot();
+    EXPECT_EQ(pm.blockWork() - w, 3 * belowTop);
 
     pm.writeU64(a, 2);         // block 0 of the region
     pm.writeU64(a + 128, 3);   // block 2

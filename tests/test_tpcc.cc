@@ -153,3 +153,39 @@ TEST(Tpcc, ManyRandomOrdersKeepInvariants)
     EXPECT_EQ(h.db.ordersPlaced(), 300u);
     EXPECT_TRUE(h.db.checkInvariants());
 }
+
+TEST(Tpcc, BytesForSizesTheArenaExactly)
+{
+    // The 7,000-FASE/thread configuration genTpcc builds for 8
+    // threads: 10 districts, 64 orders of headroom per district.
+    TpccConfig cfg;
+    cfg.districts = 10;
+    cfg.maxOrders = cfg.districts * (7000 + 64);
+    const std::size_t need = TpccDb::bytesFor(cfg);
+
+    // An arena of exactly bytesFor(cfg) holds the database...
+    PersistentMemory pm(PersistentMemory::reservedBytes + need);
+    TpccDb db(pm, cfg);
+    EXPECT_EQ(pm.remaining(), 0u);
+    EXPECT_TRUE(db.checkInvariants());
+    // ...and one byte less does not.
+    EXPECT_DEATH(
+        {
+            PersistentMemory small(PersistentMemory::reservedBytes +
+                                   need - 1);
+            TpccDb tooBig(small, cfg);
+        },
+        "PM arena exhausted");
+
+    // The sizing bytesFor replaced, maxOrders x 384 B + 48 MiB for
+    // the database and 8 threads' 64 KiB undo logs, falls short.
+    EXPECT_DEATH(
+        {
+            PersistentMemory old(std::size_t{cfg.maxOrders} * 384 +
+                                 (48u << 20));
+            VirtualOs os;
+            FaseRuntime rt(old, os, 8, RecoveryPolicy::Lazy, 1 << 16);
+            TpccDb tooBig(old, cfg);
+        },
+        "PM arena exhausted");
+}

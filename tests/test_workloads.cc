@@ -230,3 +230,17 @@ TEST(Workloads, BenchNamesAreUnique)
     for (const auto &[n, count] : names)
         EXPECT_EQ(count, 1) << n;
 }
+
+TEST(Workloads, TpccRunsPastSevenThousandFasesPerThread)
+{
+    // The arena is sized from the database's own allocations
+    // (TpccDb::bytesFor); at 7,000 FASEs/thread the previous
+    // fixed-overhead formula ran out of PM during setup.
+    WorkloadParams p;
+    p.numThreads = 1;
+    p.opsPerThread = 7000;
+    p.seed = 1;
+    const auto traces = generateTraces(BenchId::Tpcc, p);
+    ASSERT_EQ(traces.size(), 1u);
+    EXPECT_EQ(shapeOf(traces[0]).ends, 7000u);
+}
